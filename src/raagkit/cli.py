@@ -6,9 +6,9 @@ complex JSON file) and words as single quoted arguments in the word syntax.
 Exit codes: 0 success, 1 a verified property actually failed (a violated
 bound, axiom, or nonzero residual), 2 usage or input errors.
 
-The environment variable ``RAAG_KIT_CAPS`` (for example
-``reps=500000,hull=200000``) overrides the default enumeration caps;
-explicit flags take precedence over it.
+The environment variable ``RAAG_KIT_CAPS`` (for example ``reps=500000``)
+overrides the default closure-representative cap of ``verify-overlap``; an
+explicit ``--reps-cap`` takes precedence over it.  ``reps`` is its only key.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ from .words import Word, cyclically_reduce, equal, normal_form
 
 DEFAULT_SEED = 0x5C1
 
+# Least accepted value of each numeric flag, keyed by argparse destination.
+_FLAG_MINIMUMS = {"n_max": 1, "reps_cap": 1, "radius": 0, "samples": 0}
+
 
 def _read_caps_env() -> dict[str, int]:
     raw = os.environ.get("RAAG_KIT_CAPS", "")
@@ -44,11 +47,24 @@ def _read_caps_env() -> dict[str, int]:
         if not part:
             continue
         key, _, value = part.partition("=")
+        key = key.strip()
+        if key != "reps":
+            raise RaagError(f"RAAG_KIT_CAPS key {key!r} is unknown; the only key is 'reps'")
         try:
-            caps[key.strip()] = int(value)
+            caps[key] = int(value)
         except ValueError:
             raise RaagError(f"RAAG_KIT_CAPS entry {part!r} is not name=integer")
+        if caps[key] < 1:
+            raise RaagError(f"RAAG_KIT_CAPS key {key!r} must be at least 1")
     return caps
+
+
+def _check_flags(args) -> None:
+    for dest, least in _FLAG_MINIMUMS.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < least:
+            flag = "--" + dest.replace("_", "-")
+            raise RaagError(f"{flag} must be at least {least}, got {value}")
 
 
 def _load_graph(path: str) -> DefiningGraph:
@@ -212,7 +228,7 @@ def _cmd_verify_overlap(args, out: TextIO, caps: dict[str, int]) -> int:
     return 1 if any(r.violated for r in reports) else 0
 
 
-def _cmd_cube(args, out: TextIO, caps: dict[str, int]) -> int:
+def _cmd_cube(args, out: TextIO) -> int:
     graph = _load_graph(args.graph)
     if args.cube_command == "interval":
         ctx = cube.interval(Word.parse(graph, args.x), Word.parse(graph, args.y))
@@ -312,9 +328,7 @@ def run(argv: list[str], out: Optional[TextIO] = None, err: Optional[TextIO] = N
         return 2 if exc.code not in (0, None) else 0
     try:
         caps = _read_caps_env()
-        if "hull" in caps:
-            # module-level default so every internally built interval sees it
-            cube.DEFAULT_HULL_CAP = caps["hull"]
+        _check_flags(args)
         if args.command == "nf":
             return _cmd_nf(args, out)
         if args.command == "cyc":
@@ -328,7 +342,7 @@ def run(argv: list[str], out: Optional[TextIO] = None, err: Optional[TextIO] = N
         if args.command == "verify-overlap":
             return _cmd_verify_overlap(args, out, caps)
         if args.command == "cube":
-            return _cmd_cube(args, out, caps)
+            return _cmd_cube(args, out)
         if args.command == "gauss-bonnet":
             return _cmd_gauss_bonnet(args, out)
         raise AssertionError(f"unhandled command {args.command!r}")

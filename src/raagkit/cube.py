@@ -14,10 +14,16 @@ are adjacent to the label, then taking the normal form.  Equality of
 half-spaces is then plain equality of ``(base, label, sign)``.
 
 Relations come in two flavors.  ``crosses``/``nested``/``tightly_nested``
-are evaluated inside a finite context interval by quadrant counting over the
-interval's vertex set.  The module also provides global variants (no context
-needed) used by the axiom checkers, based on a double-coset membership test
-for crossing and on membership probes for nesting.
+are evaluated inside a finite context interval ``[x, y]`` and read off the
+heap of ``w = nf(x^-1 y)``: positions ``i < j`` of ``w`` are ordered when their
+letters do not commute, closed transitively (Cartier–Foata; Viennot's heaps of
+pieces).  The interval's vertices are ``x`` times the order ideals of that
+poset, so two walls cross iff their positions are incomparable, nest iff they
+are comparable with both half-spaces oriented alike, and the walls between
+two nested ones are the positions between them.  The module also provides
+global variants (no context needed) used by the axiom checkers, based on a
+double-coset membership test for crossing and on membership probes for
+nesting.
 """
 
 from __future__ import annotations
@@ -148,21 +154,22 @@ def _coerce_letter(graph: DefiningGraph, letter: Letter | tuple[str, int] | str)
     return name, sign
 
 
+def _halfspace_at(graph: DefiningGraph, point: bytes, code: int) -> HalfSpace:
+    """The half-space entered by crossing the edge from ``point`` along ``code``."""
+    gen = code >> 1
+    if code & 1:
+        # the positively-oriented form of the same edge starts at point*a^-1
+        point += bytes([code])
+    return HalfSpace(graph, _canon_base(graph, point, gen), gen, -1 if code & 1 else 1)
+
+
 def halfspace_of_edge(x: Word, letter: Letter | tuple[str, int] | str) -> HalfSpace:
     """The canonical half-space entered by crossing the edge ``(x, x*letter)``.
 
     The returned half-space contains ``x*letter`` and not ``x``.
     """
-    graph = x.graph
-    name, sign = _coerce_letter(graph, letter)
-    gen = graph.index[name]
-    if sign > 0:
-        point = x.codes
-    else:
-        # the positively-oriented form of the same edge starts at x*a^-1
-        point = x.codes + bytes([2 * gen + 1])
-    base = _canon_base(graph, point, gen)
-    return HalfSpace(graph, base, gen, sign)
+    name, sign = _coerce_letter(x.graph, letter)
+    return _halfspace_at(x.graph, x.codes, x.graph.code(name, sign))
 
 
 def _member_codes(graph: DefiningGraph, x_reduced: bytes, hs: HalfSpace) -> bool:
@@ -205,8 +212,10 @@ class Interval:
 
     ``halfspaces`` lists each half-space H with ``start ∉ H`` and ``end ∈ H``,
     collected by walking the normal form of ``start^-1 * end``; its length is
-    the distance between the endpoints.  The vertex set of the interval (all
-    vertices on geodesics) is computed lazily and capped.
+    the distance between the endpoints.  ``_down[j]`` is the bitmask of the
+    positions strictly below position ``j`` in the heap of that normal form.
+    The vertex set of the interval (all vertices on geodesics) is enumerated
+    only on request, and capped.
     """
 
     def __init__(self, start: Word, end: Word, hull_cap: Optional[int] = None):
@@ -218,16 +227,21 @@ class Interval:
         self.end = normal_form(end)
         self.hull_cap = DEFAULT_HULL_CAP if hull_cap is None else hull_cap
 
+        nc = graph._nc_mask
+        self._word = _nf_of(graph, _inv_codes(self.start.codes) + self.end.codes)
+        self._down: list[int] = []
         halfspaces = []
         here = self.start.codes
-        for c in _nf_of(graph, _inv_codes(self.start.codes) + self.end.codes):
-            name, sign = graph.decode(c)
-            halfspaces.append(halfspace_of_edge(Word(graph, here), (name, sign)))
-            here = _reduce_codes(graph, here + bytes([c]))
+        for j, c in enumerate(self._word):
+            halfspaces.append(_halfspace_at(graph, here, c))
+            here += bytes([c])
+            down = 0
+            for i in range(j):
+                if (nc[self._word[i]] >> c) & 1:
+                    down |= (1 << i) | self._down[i]
+            self._down.append(down)
         self.halfspaces: tuple[HalfSpace, ...] = tuple(halfspaces)
         self._index = {hs: i for i, hs in enumerate(self.halfspaces)}
-        self._hull: Optional[list[bytes]] = None
-        self._hull_masks: Optional[list[int]] = None
 
     def __len__(self) -> int:
         return len(self.halfspaces)
@@ -248,66 +262,41 @@ class Interval:
             return i, True
         raise NotInContext(f"{hs!r} does not separate the interval endpoints")
 
-    def _ensure_hull(self) -> tuple[list[bytes], list[int]]:
-        """All vertices on geodesics, with a crossed-half-space bitmask each."""
-        if self._hull is not None:
-            return self._hull, self._hull_masks  # type: ignore[return-value]
-        graph = self.graph
-        end = self.end.codes
-        letters = range(graph.letter_count)
-        start_nf = self.start.codes
-        masks: dict[bytes, int] = {start_nf: 0}
-        hull: list[bytes] = [start_nf]
-        frontier: list[bytes] = [start_nf]
-        while frontier:
-            nxt: list[bytes] = []
-            for v in frontier:
-                dv = _dist_codes(graph, v, end)
-                if dv == 0:
-                    continue
-                for c in letters:
-                    w = _reduce_codes(graph, v + bytes([c]))
-                    if _dist_codes(graph, w, end) != dv - 1:
-                        continue
-                    name, sign = graph.decode(c)
-                    crossed = halfspace_of_edge(Word(graph, v), (name, sign))
-                    bit = 1 << self._index[crossed]
-                    w_nf = _normal_codes(graph, w)
-                    mask = masks[v] | bit
-                    seen = masks.get(w_nf)
-                    if seen is None:
-                        masks[w_nf] = mask
-                        hull.append(w_nf)
-                        nxt.append(w_nf)
-                        if len(hull) > self.hull_cap:
-                            raise HullTooLarge(
-                                f"interval vertex set exceeds cap {self.hull_cap}"
-                            )
-                    elif seen != mask:
-                        raise AssertionError(
-                            "inconsistent separator sets while expanding an interval"
-                        )
-            frontier = nxt
-        self._hull = hull
-        self._hull_masks = [masks[v] for v in hull]
-        return hull, self._hull_masks
+    def _comparable(self, i: int, j: int) -> bool:
+        lo, hi = sorted((i, j))
+        return bool((self._down[hi] >> lo) & 1)
 
     def vertices(self) -> list[Word]:
-        hull, _ = self._ensure_hull()
-        return [Word(self.graph, v) for v in hull]
+        """All vertices on geodesics, breadth-first from ``start``.
 
-    def _quadrants(self, h: HalfSpace, k: HalfSpace) -> set[tuple[bool, bool]]:
-        i, neg_i = self.locate(h)
-        j, neg_j = self.locate(k)
-        _, masks = self._ensure_hull()
-        seen: set[tuple[bool, bool]] = set()
-        for m in masks:
-            hb = bool((m >> i) & 1) ^ neg_i
-            kb = bool((m >> j) & 1) ^ neg_j
-            seen.add((hb, kb))
-            if len(seen) == 4:
-                break
-        return seen
+        Each vertex is ``start`` times an order ideal of the heap.  The steps
+        out of an ideal are its minimal missing positions, taken in letter-code
+        order.
+        """
+        graph, word, down = self.graph, self._word, self._down
+        seen = {0}
+        hull = [self.start.codes]
+        frontier = [(0, self.start.codes)]
+        while frontier:
+            nxt = []
+            for ideal, v in frontier:
+                steps = sorted(
+                    (word[r], r)
+                    for r in range(len(word))
+                    if not (ideal >> r) & 1 and not down[r] & ~ideal
+                )
+                for c, r in steps:
+                    child = ideal | (1 << r)
+                    if child in seen:
+                        continue
+                    seen.add(child)
+                    w = _nf_of(graph, v + bytes([c]))
+                    hull.append(w)
+                    nxt.append((child, w))
+                    if len(hull) > self.hull_cap:
+                        raise HullTooLarge(f"interval vertex set exceeds cap {self.hull_cap}")
+            frontier = nxt
+        return [Word(graph, v) for v in hull]
 
 
 def interval(x: Word, y: Word, hull_cap: Optional[int] = None) -> Interval:
@@ -318,46 +307,44 @@ def interval(x: Word, y: Word, hull_cap: Optional[int] = None) -> Interval:
 def crosses(h: HalfSpace, k: HalfSpace, context: Interval) -> bool:
     """True iff the two hyperplanes cross (all four quadrants inhabited).
 
-    Quadrants are checked over the context interval's vertex set, which is
-    enough because intervals are convex.
+    Each vertex of the context interval crosses an order ideal of the heap, so
+    all four quadrants occur exactly when neither position lies below the
+    other.  Intervals are convex, so that is enough.
     """
-    if h.wall_key() == k.wall_key():
-        context.locate(h)
-        context.locate(k)
-        return False
-    return len(context._quadrants(h, k)) == 4
+    i, _ = context.locate(h)
+    j, _ = context.locate(k)
+    return i != j and not context._comparable(i, j)
 
 
 def nested(h: HalfSpace, k: HalfSpace, context: Interval) -> Optional[int]:
-    """Nesting direction: +1 if h ⊃ k, -1 if k ⊃ h, None otherwise."""
-    if h.wall_key() == k.wall_key():
-        context.locate(h)
-        context.locate(k)
+    """Nesting direction: +1 if h ⊃ k, -1 if k ⊃ h, None otherwise.
+
+    Oriented toward the end, the half-space of a lower heap position contains
+    that of a higher one; complementing both reverses the containment, and
+    complementing one leaves the pair disjoint or covering.
+    """
+    i, neg_i = context.locate(h)
+    j, neg_j = context.locate(k)
+    if i == j or neg_i != neg_j or not context._comparable(i, j):
         return None
-    quads = context._quadrants(h, k)
-    if len(quads) == 4:
-        return None
-    if (False, True) not in quads and (True, False) in quads:
-        return 1
-    if (True, False) not in quads and (False, True) in quads:
-        return -1
-    return None
+    return 1 if (i < j) != neg_i else -1
 
 
-def _between_in_context(
-    context: Interval, outer: HalfSpace, inner: HalfSpace
-) -> Optional[HalfSpace]:
-    """A context half-space strictly between outer ⊃ inner, if any."""
-    for cand in context.halfspaces:
-        for oriented in (cand, cand.complement()):
-            if oriented in (outer, inner):
-                continue
-            if (
-                nested(outer, oriented, context) == 1
-                and nested(oriented, inner, context) == 1
-            ):
-                return oriented
-    return None
+def _between(context: Interval, h: HalfSpace, k: HalfSpace) -> list[HalfSpace]:
+    """The context half-spaces strictly between two nested ones.
+
+    They sit at the heap positions strictly between the pair's, oriented like
+    the pair.
+    """
+    i, neg = context.locate(h)
+    j, _ = context.locate(k)
+    lo, hi = sorted((i, j))
+    down = context._down
+    return [
+        context.halfspaces[r].complement() if neg else context.halfspaces[r]
+        for r in range(lo + 1, hi)
+        if (down[hi] >> r) & 1 and (down[r] >> lo) & 1
+    ]
 
 
 def tightly_nested(h: HalfSpace, k: HalfSpace, context: Interval) -> bool:
@@ -367,11 +354,7 @@ def tightly_nested(h: HalfSpace, k: HalfSpace, context: Interval) -> bool:
     also separates the interval's endpoints, so checking context half-spaces
     is exhaustive.
     """
-    direction = nested(h, k, context)
-    if direction is None:
-        return False
-    outer, inner = (h, k) if direction == 1 else (k, h)
-    return _between_in_context(context, outer, inner) is None
+    return nested(h, k, context) is not None and not _between(context, h, k)
 
 
 # ---------------------------------------------------------------------------
@@ -411,28 +394,11 @@ def midpoint(chain: Chain) -> HalfSpace:
     return chain.halfspaces[m]
 
 
-def _chain_candidates(
-    context: Interval, outer: HalfSpace, inner: HalfSpace
-) -> list[HalfSpace]:
-    out = []
-    for cand in context.halfspaces:
-        for oriented in (cand, cand.complement()):
-            if oriented in (outer, inner):
-                continue
-            if (
-                nested(outer, oriented, context) == 1
-                and nested(oriented, inner, context) == 1
-            ):
-                out.append(oriented)
-    out.sort(key=HalfSpace.sort_key)
-    return out
-
-
 def _longest_paths(
     context: Interval, outer: HalfSpace, inner: HalfSpace, all_chains: bool
 ) -> list[tuple[HalfSpace, ...]]:
     """Maximum-length strictly nested sequences from outer to inner."""
-    mids = _chain_candidates(context, outer, inner)
+    mids = sorted(_between(context, outer, inner), key=HalfSpace.sort_key)
     nodes = list(range(len(mids)))
     # contains[i][j] = True when mids[i] strictly contains mids[j]
     contains = [
@@ -608,15 +574,9 @@ def tightly_nested_globally(h: HalfSpace, k: HalfSpace) -> bool:
     if direction is None:
         return False
     outer, inner = (h, k) if direction == 1 else (k, h)
-    graph = h.graph
-    p_out = Word(graph, _edge_endpoint(outer, inside=False))
-    p_in = Word(graph, _edge_endpoint(inner, inside=True))
-    for cand in interval(p_out, p_in).halfspaces:
-        if cand in (outer, inner):
-            continue
-        if nested_globally(outer, cand) == 1 and nested_globally(cand, inner) == 1:
-            return False
-    return True
+    p_out = Word(h.graph, _edge_endpoint(outer, inside=False))
+    p_in = Word(h.graph, _edge_endpoint(inner, inside=True))
+    return tightly_nested(outer, inner, interval(p_out, p_in))
 
 
 # ---------------------------------------------------------------------------

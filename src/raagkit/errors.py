@@ -35,6 +35,10 @@ class TooLargeForExact(RaagError):
     """Exact chromatic number was requested beyond the supported size."""
 
 
+class TooManyVertices(RaagError):
+    """A defining graph has more vertices than one-byte letter codes can name."""
+
+
 # -- words -------------------------------------------------------------------
 
 class WordSyntaxError(RaagError):

@@ -21,6 +21,7 @@ from .errors import (
     GraphSyntaxError,
     LoopEdge,
     TooLargeForExact,
+    TooManyVertices,
     UnknownVertex,
     UnknownVertexInEdge,
 )
@@ -29,6 +30,9 @@ _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
 #: Largest vertex count for which ``chromatic_number(..., mode="exact")`` runs.
 EXACT_CHROMATIC_CAP = 24
+
+#: Most vertices a graph may have: each letter and its inverse take one byte code.
+MAX_VERTICES = 128
 
 
 class DefiningGraph:
@@ -40,6 +44,10 @@ class DefiningGraph:
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str]]):
         names = list(vertices)
+        if len(names) > MAX_VERTICES:
+            raise TooManyVertices(
+                f"{len(names)} vertices exceeds the limit of {MAX_VERTICES}"
+            )
         seen = set()
         for name in names:
             if not _NAME_RE.match(name):

@@ -2,8 +2,10 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,14 +31,6 @@ def run(argv):
     out, err = io.StringIO(), io.StringIO()
     code = cli.run(argv, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
-
-
-@pytest.fixture(autouse=True)
-def restore_hull_cap():
-    # `run` applies RAAG_KIT_CAPS to the module-level default; undo it
-    saved = cube.DEFAULT_HULL_CAP
-    yield
-    cube.DEFAULT_HULL_CAP = saved
 
 
 # -- word commands ----------------------------------------------------------
@@ -210,17 +204,39 @@ def test_caps_env_reps(p3_file, monkeypatch):
 
 
 def test_caps_env_hull(p3_file, monkeypatch):
+    # `reps` is the only cap key: relations and chains never enumerate
+    # interval vertices, so a hull cap has nothing to limit in the CLI
+    saved = cube.DEFAULT_HULL_CAP
     monkeypatch.setenv("RAAG_KIT_CAPS", "hull=1")
     code, _, err = run(["cube", "chains", p3_file, "--samples", "5", "--radius", "2"])
     assert code == 2
     assert "error:" in err
+    assert "'hull'" in err
+    assert cube.DEFAULT_HULL_CAP == saved
 
 
 def test_caps_env_malformed(p3_file, monkeypatch):
-    monkeypatch.setenv("RAAG_KIT_CAPS", "reps=lots")
-    code, _, err = run(["nf", p3_file, "a"])
-    assert code == 2
-    assert "RAAG_KIT_CAPS" in err
+    for raw in ("reps=lots", "reps=0"):
+        monkeypatch.setenv("RAAG_KIT_CAPS", raw)
+        code, _, err = run(["nf", p3_file, "a"])
+        assert code == 2
+        assert "RAAG_KIT_CAPS" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify-overlap", "{f2}", "abAB", "--n-max", "0"], "--n-max"),
+        (["verify-overlap", "{f2}", "abAB", "--reps-cap", "0"], "--reps-cap"),
+        (["cube", "axioms", "{f2}", "--radius", "-1"], "--radius"),
+        (["cube", "chains", "{f2}", "--samples", "-3"], "--samples"),
+    ],
+)
+def test_numeric_flags_below_minimum(free2_file, argv, flag):
+    code, out, err = run([a.format(f2=free2_file) for a in argv])
+    assert (code, out) == (2, "")
+    assert f"error: {flag} must be at least" in err
+    assert f"usage: raagkit {argv[0]}" in err
 
 
 def test_console_script_installed(p3_file):
@@ -231,3 +247,42 @@ def test_console_script_installed(p3_file):
     )
     assert proc.returncode == 0
     assert proc.stdout == "ab\n"
+
+
+# -- README ----------------------------------------------------------------
+
+
+def _readme_cli_section():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _usage_argv(usage):
+    """Fill a README usage line with sample values, every optional flag included."""
+    argv = []
+    for tok in usage.split()[1:]:
+        tok = tok.strip("[]")
+        choices = re.fullmatch(r"\{([^,}]+),.*\}", tok)
+        if choices:
+            tok = choices.group(1)
+        argv.append("1" if tok[0].isupper() else tok)
+    return argv
+
+
+def test_readme_cli_section_matches_parser():
+    section = _readme_cli_section()
+    usages = [
+        re.split(r"\s{2,}", line)[0]
+        for line in section.split("```", 2)[1].splitlines()
+        if line.startswith("raagkit ")
+    ]
+    parser = cli._build_parser()
+    for usage in usages:
+        try:
+            parser.parse_args(_usage_argv(usage))
+        except SystemExit:
+            pytest.fail(f"README usage {usage!r} is rejected by the parser")
+    flags = re.compile(r"--[a-z][a-z-]*")
+    unlisted = set(flags.findall(section)) - set(flags.findall(" ".join(usages)))
+    assert not unlisted, f"README names flags outside every usage line: {unlisted}"
+    assert set(cli._SYNOPSES) <= {usage.split()[1] for usage in usages}

@@ -1,11 +1,15 @@
 """Half-spaces, intervals, chains, medians, and the global relations.
 
-Oracle strategy: context relations (quadrant bitmasks over interval hulls)
-and global relations (coset algebra) are two independent code paths that
-must agree whenever both half-spaces separate a common pair of vertices;
-``in_a_g_plus`` is checked against its definition with a large explicit
-power.  Distances fall out of normal forms, which test_words.py pins to
-the elementary-moves oracle.
+Oracle strategy: context relations (read off the heap poset of the
+interval's normal form) and global relations (coset algebra) are two
+independent code paths that must agree whenever both half-spaces separate a
+common pair of vertices.  The context relations and the interval's vertex
+set are also checked, in both orientations, against a hull oracle that uses
+no poset: the interval's vertices are the ball vertices on a geodesic,
+found by distance sums, and relations come from counting quadrants of
+``member`` over them.  ``in_a_g_plus`` is checked against its definition
+with a large explicit power.  Distances fall out of normal forms, which
+test_words.py pins to the elementary-moves oracle.
 """
 
 import random
@@ -149,8 +153,8 @@ def test_interval_lists_separators_in_order(edgeless2):
 
 def test_interval_hull_square(p3):
     ctx = interval(w(p3, "1"), w(p3, "ab"))
-    verts = {v.display() for v in ctx.vertices()}
-    assert verts == {"1", "a", "b", "ab"}
+    # breadth-first from the start, steps in letter-code order
+    assert [v.display() for v in ctx.vertices()] == ["1", "a", "b", "ab"]
 
 
 def test_interval_hull_segment(edgeless2):
@@ -163,6 +167,100 @@ def test_interval_hull_cap(p3):
     ctx = interval(w(p3, "1"), w(p3, "ab"), hull_cap=3)
     with pytest.raises(HullTooLarge):
         ctx.vertices()
+
+
+def _hull_oracle(x, y, pool):
+    """The vertices of ``[x, y]``: members of ``pool`` on an x-y geodesic."""
+    d = distance(x, y)
+    return [v for v in pool if distance(x, v) + distance(v, y) == d]
+
+
+def _oracle_relations(oriented, hull):
+    """Crossing, nesting and tight nesting from ``member`` over the hull."""
+    bits = [sum(1 << n for n, v in enumerate(hull) if member(v, h)) for h in oriented]
+    full = (1 << len(hull)) - 1
+
+    def quadrants(a, b):
+        """Hull vertices in each quadrant, keyed by (in a, in b)."""
+        ma, mb = bits[a], bits[b]
+        return {
+            (True, True): ma & mb, (True, False): ma & ~mb,
+            (False, True): ~ma & mb, (False, False): full & ~(ma | mb),
+        }
+
+    def crosses_oracle(a, b):
+        same_wall = oriented[a].wall_key() == oriented[b].wall_key()
+        return not same_wall and all(quadrants(a, b).values())
+
+    def nested_oracle(a, b):
+        if oriented[a].wall_key() == oriented[b].wall_key():
+            return None
+        quads = quadrants(a, b)
+        if all(quads.values()):
+            return None
+        if not quads[(False, True)] and quads[(True, False)]:
+            return 1
+        if not quads[(True, False)] and quads[(False, True)]:
+            return -1
+        return None
+
+    def tight_oracle(a, b):
+        direction = nested_oracle(a, b)
+        if direction is None:
+            return False
+        outer, inner = (a, b) if direction == 1 else (b, a)
+        return not any(
+            nested_oracle(outer, c) == 1 and nested_oracle(c, inner) == 1
+            for c in range(len(oriented))
+            if c not in (outer, inner)
+        )
+
+    return crosses_oracle, nested_oracle, tight_oracle
+
+
+def test_context_relations_vs_hull_oracle(four_gen_graphs):
+    """Heap-read relations and vertices against quadrant counting over a hull.
+
+    Endpoints lie in the ball of radius 2, so every vertex between them lies
+    in the ball of radius 4.  Every ordered pair of half-spaces is checked in
+    both orientations, complement pairs included.
+    """
+    rng = random.Random(0x0AC1)
+    for graph in four_gen_graphs.values():
+        near, pool = ball(graph, 2), ball(graph, 4)
+        for _ in range(6):
+            x, y = rng.sample(near, 2)
+            ctx = interval(x, y)
+            hull = _hull_oracle(x, y, pool)
+            assert {v.codes for v in ctx.vertices()} == {v.codes for v in hull}
+            oriented = [o for h in ctx.halfspaces for o in (h, h.complement())]
+            crosses_o, nested_o, tight_o = _oracle_relations(oriented, hull)
+            for a, h in enumerate(oriented):
+                for b, k in enumerate(oriented):
+                    if a == b:
+                        continue
+                    assert crosses(h, k, ctx) == crosses_o(a, b)
+                    assert nested(h, k, ctx) == nested_o(a, b)
+                    assert tightly_nested(h, k, ctx) == tight_o(a, b)
+
+
+def test_relations_and_chains_enumerate_no_vertices(edgeless2, p3):
+    for graph, text in ((edgeless2, "abAAb"), (p3, "acbAc")):
+        ctx = interval(w(graph, "1"), w(graph, text), hull_cap=1)
+        with pytest.raises(HullTooLarge):
+            ctx.vertices()
+        hs = ctx.halfspaces
+        nests = 0
+        for h in hs:
+            for k in hs:
+                if h is k:
+                    continue
+                crosses(h, k, ctx)
+                tightly_nested(h, k, ctx)
+                if nested(h, k, ctx) == 1:
+                    nests += 1
+                    assert all_longest_chains(h, k, ctx)
+        assert nests > 0
 
 
 def test_locate_and_not_in_context(edgeless2):

@@ -8,6 +8,8 @@ from raagkit import (
     DefiningGraph,
     RaagError,
     TooLargeForExact,
+    TooManyVertices,
+    Word,
     chromatic_number,
     find_triangle,
     parse_graph,
@@ -68,6 +70,17 @@ def test_parse_graph_comments_and_blank_lines():
 def test_parse_graph_rejects(text):
     with pytest.raises(RaagError):
         parse_graph(text)
+
+
+def test_vertex_limit_follows_letter_codes():
+    # one byte per letter code, two codes per generator
+    names = [f"v{i}" for i in range(129)]
+    largest = DefiningGraph(names[:128], [("v0", "v127")])
+    assert Word.parse(largest, "v127^-1").codes == bytes([255])
+    with pytest.raises(TooManyVertices):
+        DefiningGraph(names, [])
+    with pytest.raises(TooManyVertices):
+        parse_graph(f"vertices: {' '.join(names)}\nedges:\n")
 
 
 def test_find_triangle(k3_pendant, p3, c5, grotzsch):
