@@ -6,14 +6,17 @@ complex JSON file) and words as single quoted arguments in the word syntax.
 Exit codes: 0 success, 1 a verified property actually failed (a violated
 bound, axiom, or nonzero residual), 2 usage or input errors.
 
-The environment variable ``RAAG_KIT_CAPS`` (for example ``reps=500000``)
-overrides the default closure-representative cap of ``verify-overlap``; an
-explicit ``--reps-cap`` takes precedence over it.  ``reps`` is its only key.
+``verify-overlap`` walks the rotation/swap closure of each power's core one
+rotation class at a time: its ``reps=`` counts and its cap count rotation
+classes.  The environment variable ``RAAG_KIT_CAPS`` (for example
+``reps=500000``) overrides the default cap; an explicit ``--reps-cap`` takes
+precedence over it.  ``reps`` is its only key.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -81,8 +84,34 @@ def _rat(q) -> str:
     return str(q)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="raagkit")
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that writes help to ``out`` and usage errors to ``err``.
+
+    Either stream left as None means the matching ``sys`` stream.  Subparsers
+    inherit both streams.
+    """
+
+    def __init__(self, *args, out: Optional[TextIO] = None, err: Optional[TextIO] = None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.out = out
+        self.err = err
+
+    def add_subparsers(self, **kwargs):
+        kwargs.setdefault("parser_class", functools.partial(_Parser, out=self.out, err=self.err))
+        return super().add_subparsers(**kwargs)
+
+    def print_help(self, file: Optional[TextIO] = None) -> None:
+        super().print_help(file or self.out)
+
+    def error(self, message: str):
+        err = self.err or sys.stderr
+        self.print_usage(err)
+        err.write(f"{self.prog}: error: {message}\n")
+        self.exit(2)
+
+
+def _build_parser(out: Optional[TextIO] = None, err: Optional[TextIO] = None) -> argparse.ArgumentParser:
+    parser = _Parser(prog="raagkit", out=out, err=err)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("nf", help="normal form of a word")
@@ -108,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heuristic", action="store_true")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("verify-overlap", help="overlap bound over closure representatives")
+    p = sub.add_parser("verify-overlap", help="overlap bound over the rotation classes of each closure")
     p.add_argument("graph")
     p.add_argument("word")
     p.add_argument("--n-max", type=int, default=4)
@@ -321,7 +350,7 @@ _SYNOPSES = {
 def run(argv: list[str], out: Optional[TextIO] = None, err: Optional[TextIO] = None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = _build_parser()
+    parser = _build_parser(out, err)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

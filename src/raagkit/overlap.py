@@ -14,8 +14,9 @@ cancelling pair.  It is sharp in the limit: for ``a^k b A^k B`` the maximum is
 ``k`` against the bound ``k + 1``, so no constant below ``1 / (2 n)`` holds.
 
 Three tools live here: a direct scanner for one representative, an
-exhaustive breadth-first enumeration of the rotation/swap closure, and a
-cheap projection certificate that often bounds the closure maximum without
+exhaustive breadth-first enumeration of the rotation/swap closure (one word
+per rotation class, since the scanner is rotation invariant), and a cheap
+projection certificate that often bounds the closure maximum without
 enumerating it.
 """
 
@@ -33,6 +34,7 @@ from .words import (
     CyclicWord,
     Word,
     _inv_codes,
+    _least_rotation,
     _nf_of,
     _reduce_codes,
     cyclically_reduce,
@@ -67,12 +69,13 @@ def _pair_at(codes: bytes, length: int, mode: str) -> Optional[tuple[int, int]]:
     if length < 1 or length > n or (mode == "disjoint" and 2 * length > n):
         return None
     doubled = codes * 2
-    slices = [doubled[i : i + length] for i in range(n)]
+    # the inverse of doubled[i : i + length] is inv[2n - i - length : 2n - i]
+    inv = _inv_codes(doubled)
     occ: dict[bytes, list[int]] = {}
-    for j, s in enumerate(slices):
-        occ.setdefault(s, []).append(j)
-    for i, s in enumerate(slices):
-        hits = occ.get(_inv_codes(s))
+    for j in range(n):
+        occ.setdefault(doubled[j : j + length], []).append(j)
+    for i in range(n):
+        hits = occ.get(inv[2 * n - i - length : 2 * n - i])
         if not hits:
             continue
         for j in hits:
@@ -151,33 +154,40 @@ def max_inverse_overlap(w: CyclicWord, mode: str = "disjoint") -> tuple[int, Opt
 def _closure_scan(
     graph: DefiningGraph, start: bytes, mode: str, cap: int
 ) -> tuple[int, Optional[Witness], int, bool]:
-    """Breadth-first walk of the rotation/swap closure, scanning as it goes.
+    """Breadth-first walk of the swap closure over rotation classes, scanning as it goes.
 
-    Every discovered representative is probed for overlaps one length above
-    the current best (per-representative lengths are downward closed, so
-    nothing is missed).  Returns (max, witness, representatives, capped).
+    Each node is a rotation class, stored as its least rotation (``start``
+    must be one).  Its neighbours are the commuting swaps of two cyclically
+    adjacent letters, the wrap-around pair (last, first) included, each
+    brought back to its least rotation; rotation itself is not a move.  The
+    scanner is rotation invariant, so one probe per class, one length above
+    the current best, sees the whole closure (per-word lengths are downward
+    closed, so nothing is missed).  ``cap`` bounds the number of classes.
+    Returns (max, witness, classes, capped).
     """
     seen = {start}
     queue = [start]
     best = 0
     witness: Optional[Witness] = None
-    hit = _pair_at(start, 1, mode)
-    while hit is not None:
-        best += 1
-        witness = _witness_from(graph, start, (best, hit[0], hit[1]))
-        hit = _pair_at(start, best + 1, mode)
     capped = False
     head = 0
     nc = graph._nc_mask
     while head < len(queue):
         rep = queue[head]
         head += 1
+        hit = _pair_at(rep, best + 1, mode)
+        while hit is not None:
+            best += 1
+            witness = _witness_from(graph, rep, (best, hit[0], hit[1]))
+            hit = _pair_at(rep, best + 1, mode)
         n = len(rep)
-        neighbors = [rep[1:] + rep[:1]]
-        for i in range(n - 1):
-            if not (nc[rep[i]] >> rep[i + 1]) & 1:
-                neighbors.append(rep[:i] + rep[i + 1 : i + 2] + rep[i : i + 1] + rep[i + 2 :])
-        for nb in neighbors:
+        for i in range(n):
+            j = (i + 1) % n
+            if (nc[rep[i]] >> rep[j]) & 1:
+                continue
+            swapped = bytearray(rep)
+            swapped[i], swapped[j] = rep[j], rep[i]
+            nb = _least_rotation(bytes(swapped))
             if nb in seen:
                 continue
             if len(seen) >= cap:
@@ -185,17 +195,17 @@ def _closure_scan(
                 continue
             seen.add(nb)
             queue.append(nb)
-            hit = _pair_at(nb, best + 1, mode)
-            while hit is not None:
-                best += 1
-                witness = _witness_from(graph, nb, (best, hit[0], hit[1]))
-                hit = _pair_at(nb, best + 1, mode)
     return best, witness, len(queue), capped
 
 
 @dataclass
 class OverlapReport:
-    """Result of bounding the overlap maximum for one power of one element."""
+    """Result of bounding the overlap maximum for one power of one element.
+
+    ``representatives_checked`` counts the rotation classes of the closure
+    that were walked, and ``cap_exceeded`` says the class cap stopped the
+    walk.  The witness names one class by its least rotation.
+    """
 
     graph: DefiningGraph
     g: Word
@@ -244,10 +254,11 @@ def verify_key_lemma(
 ) -> list[OverlapReport]:
     """Check the overlap bound for cores of powers ``g**1 .. g**n_max``.
 
-    For each power the rotation/swap closure of the core is enumerated (up
-    to ``reps_cap`` representatives) and the maximum inverse-overlap length
-    is compared against ``len(core(g**n)) / (2 n)``.  A capped enumeration is
-    reported honestly via ``cap_exceeded`` rather than silently trusted.
+    For each power the rotation/swap closure of the core is enumerated, one
+    least rotation per rotation class, up to ``reps_cap`` classes, and the
+    maximum inverse-overlap length is compared against
+    ``len(core(g**n)) / (2 n)``.  A capped enumeration is reported honestly
+    via ``cap_exceeded`` rather than silently trusted.
 
     The bound is never reached in a free group; ``a^k b A^k B`` comes within
     one letter of it (maximum ``k``, bound ``k + 1``), so it is sharp only in

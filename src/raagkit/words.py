@@ -49,6 +49,17 @@ def _inv_codes(codes: bytes) -> bytes:
     return bytes(c ^ 1 for c in reversed(codes))
 
 
+def _least_rotation(codes: bytes) -> bytes:
+    """The least rotation of a nonempty coded cyclic word, in byte order.
+
+    A slice ``min`` over the doubled word: for the word lengths met here it
+    beats a pure-Python Booth's algorithm (and a list beats a generator).
+    """
+    n = len(codes)
+    doubled = codes * 2
+    return min([doubled[i : i + n] for i in range(n)])
+
+
 def _reduce_codes(graph: DefiningGraph, codes: bytes) -> bytes:
     """Fully reduce a coded word.
 
@@ -483,8 +494,7 @@ class CyclicWord:
         if conj:
             raise NotCyclicallyReduced(f"{word.display()!r} is not cyclically reduced")
         self.word = word
-        codes = word.codes
-        self._canon = min(codes[i:] + codes[:i] for i in range(len(codes)))
+        self._canon = _least_rotation(word.codes)
         self._hash = hash((word.graph, self._canon))
 
     @property

@@ -142,7 +142,7 @@ def naive_max_cyclic_overlap(word: WordT, mode: str = "disjoint") -> int:
     for length in range(1, top + 1):
         found = False
         for i in range(n):
-            u = doubled[i : i + length]
+            u_inv = inv(doubled[i : i + length])
             for j in range(n):
                 if i == j:
                     continue
@@ -150,7 +150,7 @@ def naive_max_cyclic_overlap(word: WordT, mode: str = "disjoint") -> int:
                     (j - i) % n < length or (i - j) % n < length
                 ):
                     continue
-                if doubled[j : j + length] == inv(u):
+                if doubled[j : j + length] == u_inv:
                     found = True
                     break
             if found:
@@ -160,15 +160,13 @@ def naive_max_cyclic_overlap(word: WordT, mode: str = "disjoint") -> int:
     return best
 
 
-def cyclic_closure_max(names, edges, word: WordT, mode: str = "disjoint", cap: int = 200_000) -> int:
-    """Max inverse overlap over the whole rotation/swap closure, brute force."""
+def cyclic_closure(names, edges, word: WordT, cap: int = 200_000) -> set[WordT]:
+    """Every word reachable by rotations and commuting swaps, brute force."""
     adj = adj_set(names, edges)
     seen = {tuple(word)}
     queue = [tuple(word)]
-    best = 0
     while queue:
         u = queue.pop()
-        best = max(best, naive_max_cyclic_overlap(u, mode))
         moves = [u[1:] + u[:1]]
         for i in range(len(u) - 1):
             if u[i][0] != u[i + 1][0] and u[i + 1][0] in adj[u[i][0]]:
@@ -179,7 +177,27 @@ def cyclic_closure_max(names, edges, word: WordT, mode: str = "disjoint", cap: i
                 queue.append(nu)
         if len(seen) > cap:
             raise RuntimeError("cyclic closure exploded past the cap")
-    return best
+    return seen
+
+
+def cyclic_closure_classes(names, edges, word: WordT, cap: int = 200_000) -> set[WordT]:
+    """The rotation classes of the closure, each as its least rotation of tuples."""
+    return {
+        min(u[i:] + u[:i] for i in range(len(u)))
+        for u in cyclic_closure(names, edges, word, cap)
+    }
+
+
+def cyclic_closure_max(names, edges, word: WordT, mode: str = "disjoint", cap: int = 200_000) -> int:
+    """Max inverse overlap over the whole rotation/swap closure, brute force.
+
+    The naive scan already ranges over every cyclic position, so one word
+    per rotation class is enough.
+    """
+    return max(
+        naive_max_cyclic_overlap(u, mode)
+        for u in cyclic_closure_classes(names, edges, word, cap)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,18 @@ def test_usage_errors():
     assert run(["--help"])[0] == 0
 
 
+def test_argparse_messages_use_the_given_streams(free2_file, capsys):
+    for argv in (["nf"], ["verify-overlap", free2_file, "ab", "--mode", "bogus"]):
+        code, out, err = run(argv)
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and "error:" in err
+    code, out, err = run(["--help"])
+    assert code == 0
+    assert "usage:" in out and err == ""
+    assert capsys.readouterr() == ("", "")
+
+
 def test_missing_graph_file():
     code, _, err = run(["nf", "/no/such/file.graph", "a"])
     assert code == 2
@@ -192,14 +204,17 @@ def test_bad_word_is_usage_error(p3_file):
 
 
 def test_caps_env_reps(p3_file, monkeypatch):
+    # aabbcc has 10 rotation classes in its closure at n = 1
     monkeypatch.setenv("RAAG_KIT_CAPS", "reps=5")
-    code, out, _ = run(["verify-overlap", p3_file, "acacbACACB", "--n-max", "1"])
+    code, out, _ = run(["verify-overlap", p3_file, "aabbcc", "--n-max", "1"])
     assert code == 0
+    assert "reps=5 " in out
     assert "(cap exceeded)" in out
     # an explicit flag beats the environment
     code, out, _ = run(
-        ["verify-overlap", p3_file, "acacbACACB", "--n-max", "1", "--reps-cap", "100000"]
+        ["verify-overlap", p3_file, "aabbcc", "--n-max", "1", "--reps-cap", "100000"]
     )
+    assert "reps=10 " in out
     assert "(cap exceeded)" not in out
 
 

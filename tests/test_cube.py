@@ -18,6 +18,7 @@ import pytest
 
 from raagkit import (
     ChainTooShort,
+    DefiningGraph,
     HullTooLarge,
     NotInContext,
     NotNested,
@@ -355,20 +356,24 @@ def test_midpoint_too_short(edgeless2):
         midpoint(chain)
 
 
-def test_all_longest_chains_enumerates(p3):
-    # 1 -> a b a b: the two middle walls cross, giving two longest chains
-    ctx = interval(w(p3, "1"), w(p3, "aabb"))
-    ends = interval(w(p3, "1"), w(p3, "aabb"))
+def test_all_longest_chains_enumerates():
+    # path a - b - c - d; in [1, acda] the end walls (first and last a) nest,
+    # and c, d commute, so two longest chains pass between them, one
+    # through each of the crossing walls c and d
+    p4 = DefiningGraph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    ctx = interval(w(p4, "1"), w(p4, "acda"))
     h_first = ctx.halfspaces[0]
     h_last = ctx.halfspaces[-1]
-    if nested(h_first, h_last, ctx) == 1:
-        chains = all_longest_chains(h_first, h_last, ctx)
-        assert len(chains) >= 1
-        best = chains[0].length
-        for c in chains:
-            assert c.length == best
-            for a, b in zip(c.halfspaces, c.halfspaces[1:]):
-                assert nested(a, b, ends) == 1
+    assert (h_first.label, h_last.label) == ("a", "a")
+    assert nested(h_first, h_last, ctx) == 1
+    chains = all_longest_chains(h_first, h_last, ctx)
+    assert [c.length for c in chains] == [1, 1]
+    assert sorted(c.halfspaces[1].label for c in chains) == ["c", "d"]
+    for c in chains:
+        assert (c.halfspaces[0], c.halfspaces[-1]) == (h_first, h_last)
+        for a, b in zip(c.halfspaces, c.halfspaces[1:]):
+            assert nested(a, b, ctx) == 1
+    assert crosses(chains[0].halfspaces[1], chains[1].halfspaces[1], ctx)
 
 
 def test_chain_dataclass_length():

@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import helpers as H
 from raagkit import (
@@ -142,10 +144,12 @@ def test_verify_rejects_identity(p3):
 
 
 def test_reps_cap_reported(p3):
-    # this closure exceeds five representatives; the cap must be reported
-    reports = verify_key_lemma(w(p3, "acacbACACB"), n_max=2, reps_cap=5)
-    assert any(r.cap_exceeded for r in reports)
-    assert all(not r.ok for r in reports if r.cap_exceeded)
+    # the cap counts rotation classes: aabbcc has 10 at n = 1, so a cap of
+    # five is hit at every power and must be reported
+    reports = verify_key_lemma(w(p3, "aabbcc"), n_max=2, reps_cap=5)
+    assert all(r.cap_exceeded for r in reports)
+    assert all(r.representatives_checked == 5 for r in reports)
+    assert all(not r.ok for r in reports)
 
 
 def test_report_json_shape(edgeless2):
@@ -170,6 +174,55 @@ def test_closure_max_matches_brute_force(suite_graphs):
             reports = verify_key_lemma(cw.word, n_max=1)
             brute = H.cyclic_closure_max(names, edges, to_tuples(cw.canonical()))
             assert reports[0].max_overlap_length == brute
+
+
+# vertex names of the ``suite_graphs`` fixture, so that words can be drawn
+# before the fixture is available
+_SUITE_LETTERS = {
+    "edgeless2": "ab",
+    "edgeless3": "abc",
+    "p3": "abc",
+    "c5": "abcde",
+    "k3_pendant": "abcd",
+}
+
+_suite_words = st.sampled_from(sorted(_SUITE_LETTERS)).flatmap(
+    lambda name: st.tuples(
+        st.just(name),
+        st.text(_SUITE_LETTERS[name] + _SUITE_LETTERS[name].upper(), min_size=1, max_size=6),
+    )
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=_suite_words, n=st.sampled_from((1, 2)), mode=st.sampled_from(("disjoint", "any")))
+# in c5 the only commuting pair of aceb is the wrap-around one (b, a)
+@example(case=("c5", "aceb"), n=1, mode="disjoint")
+def test_closure_classes_match_brute_force(suite_graphs, case, n, mode):
+    """Maxima, class counts and witnesses against the brute-force closure.
+
+    The package walks rotation classes with swaps of cyclically adjacent
+    letters; the oracle walks every word with rotations and inner swaps.
+    """
+    name, text = case
+    graph = suite_graphs[name]
+    assert graph.vertices == tuple(_SUITE_LETTERS[name])
+    core = cyclically_reduce(w(graph, text)).core
+    assume(not core.is_identity)
+    r = verify_key_lemma(core, n_max=n, mode=mode)[-1]
+    # the core of a power of a cyclically reduced word is a shuffle of the
+    # literal power, so both have the same closure
+    power_t = to_tuples(core) * n
+    names = graph.vertices
+    edges = {tuple(e) for e in graph.edges}
+    classes = H.cyclic_closure_classes(names, edges, power_t)
+    assert r.representatives_checked == len(classes)
+    assert r.max_overlap_length == H.cyclic_closure_max(names, edges, power_t, mode)
+    assert not r.cap_exceeded
+    if r.witness is not None:
+        rep_t = to_tuples(r.witness.representative)
+        assert min(rep_t[i:] + rep_t[:i] for i in range(len(rep_t))) in classes
+        check_witness(None, r.witness, r.max_overlap_length, mode)
 
 
 # -- projection certificates ------------------------------------------------
