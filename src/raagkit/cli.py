@@ -16,7 +16,6 @@ precedence over it.  ``reps`` is its only key.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -24,13 +23,7 @@ from typing import Optional, TextIO
 
 from . import cube
 from .bounds import reference_bounds, scl_lower_bound
-from .complexes import (
-    curvature_face,
-    curvature_vertex,
-    euler_characteristic,
-    gauss_bonnet_residual,
-    parse_complex,
-)
+from .complexes import curvature_face, curvature_vertex, euler_characteristic, parse_complex
 from .errors import RaagError
 from .graphs import DefiningGraph, chromatic_number, parse_graph
 from .overlap import DEFAULT_REPS_CAP, verify_key_lemma
@@ -84,60 +77,67 @@ def _rat(q) -> str:
     return str(q)
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that writes help to ``out`` and usage errors to ``err``.
+class _ParserExit(Exception):
+    """What the parser would have printed before exiting: help or a usage error."""
 
-    Either stream left as None means the matching ``sys`` stream.  Subparsers
-    inherit both streams.
+    def __init__(self, status: int, text: str):
+        super().__init__(text)
+        self.status = status
+        self.text = text
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises :class:`_ParserExit` instead of printing and exiting.
+
+    It holds no stream, so one parser serves every call of :func:`run`.
+    argparse builds subparsers with ``type(self)``, so they behave the same.
     """
 
-    def __init__(self, *args, out: Optional[TextIO] = None, err: Optional[TextIO] = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.out = out
-        self.err = err
-
-    def add_subparsers(self, **kwargs):
-        kwargs.setdefault("parser_class", functools.partial(_Parser, out=self.out, err=self.err))
-        return super().add_subparsers(**kwargs)
-
     def print_help(self, file: Optional[TextIO] = None) -> None:
-        super().print_help(file or self.out)
+        raise _ParserExit(0, self.format_help())
 
     def error(self, message: str):
-        err = self.err or sys.stderr
-        self.print_usage(err)
-        err.write(f"{self.prog}: error: {message}\n")
-        self.exit(2)
+        raise _ParserExit(2, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
-def _build_parser(out: Optional[TextIO] = None, err: Optional[TextIO] = None) -> argparse.ArgumentParser:
-    parser = _Parser(prog="raagkit", out=out, err=err)
+def _add_command(sub, name: str, func, help: str) -> _Parser:
+    """Declare a subcommand: ``run`` calls ``func`` and, after an input error, prints its usage."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func, parser=p)
+    return p
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="raagkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("nf", help="normal form of a word")
+    p = _add_command(sub, "nf", _cmd_nf, "normal form of a word")
     p.add_argument("graph")
     p.add_argument("word")
 
-    p = sub.add_parser("cyc", help="cyclic reduction of a word")
+    p = _add_command(sub, "cyc", _cmd_cyc, "cyclic reduction of a word")
     p.add_argument("graph")
     p.add_argument("word")
 
-    p = sub.add_parser("eq", help="decide equality of two words")
+    p = _add_command(sub, "eq", _cmd_eq, "decide equality of two words")
     p.add_argument("graph")
     p.add_argument("word1")
     p.add_argument("word2")
 
-    p = sub.add_parser("chromatic", help="chromatic number with a coloring")
+    p = _add_command(sub, "chromatic", _cmd_chromatic, "chromatic number with a coloring")
     p.add_argument("graph")
     p.add_argument("--heuristic", action="store_true")
 
-    p = sub.add_parser("scl-bound", help="certified scl lower bound")
+    p = _add_command(sub, "scl-bound", _cmd_scl_bound, "certified scl lower bound")
     p.add_argument("graph")
     p.add_argument("word")
     p.add_argument("--heuristic", action="store_true")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("verify-overlap", help="overlap bound over the rotation classes of each closure")
+    p = _add_command(
+        sub, "verify-overlap", _cmd_verify_overlap,
+        "overlap bound over the rotation classes of each closure",
+    )
     p.add_argument("graph")
     p.add_argument("word")
     p.add_argument("--n-max", type=int, default=4)
@@ -148,30 +148,38 @@ def _build_parser(out: Optional[TextIO] = None, err: Optional[TextIO] = None) ->
     p = sub.add_parser("cube", help="half-space calculus helpers")
     cube_sub = p.add_subparsers(dest="cube_command", required=True)
 
-    q = cube_sub.add_parser("interval", help="half-spaces separating two vertices")
+    q = _add_command(
+        cube_sub, "interval", _cmd_cube_interval, "half-spaces separating two vertices"
+    )
     q.add_argument("graph")
     q.add_argument("x")
     q.add_argument("y")
 
-    q = cube_sub.add_parser("median", help="median of three vertices")
+    q = _add_command(cube_sub, "median", _cmd_cube_median, "median of three vertices")
     q.add_argument("graph")
     q.add_argument("x")
     q.add_argument("y")
     q.add_argument("z")
 
-    q = cube_sub.add_parser("axioms", help="randomized search for forbidden configurations")
+    q = _add_command(
+        cube_sub, "axioms", _cmd_cube_axioms, "randomized search for forbidden configurations"
+    )
     q.add_argument("graph")
     q.add_argument("--radius", type=int, default=3)
     q.add_argument("--samples", type=int, default=1000)
     q.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    q = cube_sub.add_parser("chains", help="longest-chain midpoint property over samples")
+    q = _add_command(
+        cube_sub, "chains", _cmd_cube_chains, "longest-chain midpoint property over samples"
+    )
     q.add_argument("graph")
     q.add_argument("--radius", type=int, default=3)
     q.add_argument("--samples", type=int, default=200)
     q.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    p = sub.add_parser("gauss-bonnet", help="curvature residual of an angled complex")
+    p = _add_command(
+        sub, "gauss-bonnet", _cmd_gauss_bonnet, "curvature residual of an angled complex"
+    )
     p.add_argument("complex", metavar="complex.json")
 
     return parser
@@ -228,13 +236,10 @@ def _cmd_scl_bound(args, out: TextIO) -> int:
     return 0
 
 
-def _cmd_verify_overlap(args, out: TextIO, caps: dict[str, int]) -> int:
+def _cmd_verify_overlap(args, out: TextIO) -> int:
     graph = _load_graph(args.graph)
     word = Word.parse(graph, args.word)
-    reps_cap = args.reps_cap
-    if reps_cap is None:
-        reps_cap = caps.get("reps", DEFAULT_REPS_CAP)
-    reports = verify_key_lemma(word, n_max=args.n_max, reps_cap=reps_cap, mode=args.mode)
+    reports = verify_key_lemma(word, n_max=args.n_max, reps_cap=args.reps_cap, mode=args.mode)
     if args.json:
         print(json.dumps([r.to_json_dict() for r in reports]), file=out)
     else:
@@ -257,54 +262,61 @@ def _cmd_verify_overlap(args, out: TextIO, caps: dict[str, int]) -> int:
     return 1 if any(r.violated for r in reports) else 0
 
 
-def _cmd_cube(args, out: TextIO) -> int:
+def _cmd_cube_interval(args, out: TextIO) -> int:
     graph = _load_graph(args.graph)
-    if args.cube_command == "interval":
-        ctx = cube.interval(Word.parse(graph, args.x), Word.parse(graph, args.y))
-        print(f"distance: {len(ctx)}", file=out)
-        for hs in ctx.halfspaces:
-            print(hs.display(), file=out)
-        return 0
-    if args.cube_command == "median":
-        m = cube.median(
-            Word.parse(graph, args.x),
-            Word.parse(graph, args.y),
-            Word.parse(graph, args.z),
-        )
-        print(m.display(), file=out)
-        return 0
-    if args.cube_command == "axioms":
-        report = cube.check_special_axioms(
-            graph, samples=args.samples, radius=args.radius, seed=args.seed
-        )
-        print(
-            f"radius: {report.radius} samples: {report.samples} seed: {report.seed}",
-            file=out,
-        )
-        counts = " ".join(f"{k}={v}" for k, v in sorted(report.checked.items()))
-        print(f"checked: {counts}", file=out)
-        for violation in report.violations:
-            print(f"violation: {violation}", file=out)
-        print("ok" if report.ok else "FAIL", file=out)
-        return 0 if report.ok else 1
-    if args.cube_command == "chains":
-        report = cube.check_max_chains(
-            graph, samples=args.samples, radius=args.radius, seed=args.seed
-        )
-        print(
-            f"radius: {report.radius} samples: {report.samples} seed: {report.seed}",
-            file=out,
-        )
-        print(
-            f"intervals: {report.intervals_checked} nested pairs: {report.nested_pairs} "
-            f"chains: {report.chains_enumerated} midpoint pairs: {report.midpoint_pairs}",
-            file=out,
-        )
-        for violation in report.violations:
-            print(f"violation: {violation}", file=out)
-        print("ok" if report.ok else "FAIL", file=out)
-        return 0 if report.ok else 1
-    raise AssertionError(f"unhandled cube subcommand {args.cube_command!r}")
+    ctx = cube.interval(Word.parse(graph, args.x), Word.parse(graph, args.y))
+    print(f"distance: {len(ctx)}", file=out)
+    for hs in ctx.halfspaces:
+        print(hs.display(), file=out)
+    return 0
+
+
+def _cmd_cube_median(args, out: TextIO) -> int:
+    graph = _load_graph(args.graph)
+    m = cube.median(
+        Word.parse(graph, args.x),
+        Word.parse(graph, args.y),
+        Word.parse(graph, args.z),
+    )
+    print(m.display(), file=out)
+    return 0
+
+
+def _cmd_cube_axioms(args, out: TextIO) -> int:
+    graph = _load_graph(args.graph)
+    report = cube.check_special_axioms(
+        graph, samples=args.samples, radius=args.radius, seed=args.seed
+    )
+    print(
+        f"radius: {report.radius} samples: {report.samples} seed: {report.seed}",
+        file=out,
+    )
+    counts = " ".join(f"{k}={v}" for k, v in sorted(report.checked.items()))
+    print(f"checked: {counts}", file=out)
+    for violation in report.violations:
+        print(f"violation: {violation}", file=out)
+    print("ok" if report.ok else "FAIL", file=out)
+    return 0 if report.ok else 1
+
+
+def _cmd_cube_chains(args, out: TextIO) -> int:
+    graph = _load_graph(args.graph)
+    report = cube.check_max_chains(
+        graph, samples=args.samples, radius=args.radius, seed=args.seed
+    )
+    print(
+        f"radius: {report.radius} samples: {report.samples} seed: {report.seed}",
+        file=out,
+    )
+    print(
+        f"intervals: {report.intervals_checked} nested pairs: {report.nested_pairs} "
+        f"chains: {report.chains_enumerated} midpoint pairs: {report.midpoint_pairs}",
+        file=out,
+    )
+    for violation in report.violations:
+        print(f"violation: {violation}", file=out)
+    print("ok" if report.ok else "FAIL", file=out)
+    return 0 if report.ok else 1
 
 
 def _cmd_gauss_bonnet(args, out: TextIO) -> int:
@@ -317,7 +329,8 @@ def _cmd_gauss_bonnet(args, out: TextIO) -> int:
     curvature = sum(
         (curvature_vertex(complex_, v) for v in complex_.vertices), start=0
     ) + sum((curvature_face(complex_, f) for f in complex_.face_order), start=0)
-    residual = gauss_bonnet_residual(complex_)
+    # the residual from the sum above: gauss_bonnet_residual would take it again
+    residual = curvature - 2 * chi
     print(
         f"vertices: {len(complex_.vertices)} edges: {len(complex_.edges)} "
         f"faces: {len(complex_.faces)} euler characteristic: {chi}",
@@ -329,57 +342,28 @@ def _cmd_gauss_bonnet(args, out: TextIO) -> int:
     return 0 if residual == 0 else 1
 
 
-_SYNOPSES = {
-    "nf": "raagkit nf <graph> <word>",
-    "cyc": "raagkit cyc <graph> <word>",
-    "eq": "raagkit eq <graph> <word1> <word2>",
-    "chromatic": "raagkit chromatic <graph> [--heuristic]",
-    "scl-bound": "raagkit scl-bound <graph> <word> [--heuristic] [--json]",
-    "verify-overlap": (
-        "raagkit verify-overlap <graph> <word> [--n-max K] [--reps-cap N] "
-        "[--mode disjoint|any] [--json]"
-    ),
-    "cube": (
-        "raagkit cube interval|median|axioms|chains <graph> <args...> "
-        "[--radius R] [--samples S] [--seed X]"
-    ),
-    "gauss-bonnet": "raagkit gauss-bonnet <complex.json>",
-}
+# Built once: it holds no stream and parsing never changes it.
+_PARSER = _build_parser()
 
 
 def run(argv: list[str], out: Optional[TextIO] = None, err: Optional[TextIO] = None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = _build_parser(out, err)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        args = _PARSER.parse_args(argv)
+    except _ParserExit as exc:
+        (out if exc.status == 0 else err).write(exc.text)
+        return exc.status
     try:
         caps = _read_caps_env()
         _check_flags(args)
-        if args.command == "nf":
-            return _cmd_nf(args, out)
-        if args.command == "cyc":
-            return _cmd_cyc(args, out)
-        if args.command == "eq":
-            return _cmd_eq(args, out)
-        if args.command == "chromatic":
-            return _cmd_chromatic(args, out)
-        if args.command == "scl-bound":
-            return _cmd_scl_bound(args, out)
-        if args.command == "verify-overlap":
-            return _cmd_verify_overlap(args, out, caps)
-        if args.command == "cube":
-            return _cmd_cube(args, out)
-        if args.command == "gauss-bonnet":
-            return _cmd_gauss_bonnet(args, out)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        # RAAG_KIT_CAPS supplies the default of --reps-cap
+        if "reps_cap" in args and args.reps_cap is None:
+            args.reps_cap = caps.get("reps", DEFAULT_REPS_CAP)
+        return args.func(args, out)
     except RaagError as exc:
         print(f"error: {exc}", file=err)
-        synopsis = _SYNOPSES.get(getattr(args, "command", ""), "")
-        if synopsis:
-            print(f"usage: {synopsis}", file=err)
+        err.write(args.parser.format_usage())
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=err)

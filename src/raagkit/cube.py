@@ -47,8 +47,10 @@ from .graphs import DefiningGraph
 from .words import (
     Letter,
     Word,
+    _cache_put,
     _cyc_reduce_codes,
     _dist_codes,
+    _front_movable_positions,
     _inv_codes,
     _nf_of,
     _normal_codes,
@@ -77,8 +79,7 @@ def _canon_base(graph: DefiningGraph, codes: bytes, gen: int) -> bytes:
     if hit is None:
         stripped = _strip_suffix_in(graph, reduced, graph._lk_mask[gen])
         hit = _normal_codes(graph, stripped)
-        if len(cache) < 400_000:
-            cache[key] = hit
+        _cache_put(cache, key, hit)
     return hit
 
 
@@ -483,31 +484,27 @@ def all_longest_chains(h: HalfSpace, k: HalfSpace, context: Interval) -> list[Ch
 def median(x: Word, y: Word, z: Word) -> Word:
     """The unique vertex through which all three pairwise geodesics pass.
 
-    Walks from ``x``, repeatedly taking the least letter that strictly
-    decreases the distances to both ``y`` and ``z``; the walk stops exactly
-    at the median.
+    It is ``x`` times the meet of ``x^-1 y`` and ``x^-1 z`` in the prefix order
+    of reduced words (their greatest common trace prefix): while some letter
+    can be shuffled to the front of both, the least such letter joins the
+    meet and is cancelled from both.
     """
     if x.graph != y.graph or x.graph != z.graph:
         raise GraphMismatch("median arguments live over different graphs")
     graph = x.graph
-    here = _reduce_codes(graph, x.codes)
-    ty = _reduce_codes(graph, y.codes)
-    tz = _reduce_codes(graph, z.codes)
-    dy = _dist_codes(graph, here, ty)
-    dz = _dist_codes(graph, here, tz)
+    x_inv = _inv_codes(x.codes)
+    u = _reduce_codes(graph, x_inv + y.codes)
+    v = _reduce_codes(graph, x_inv + z.codes)
+    meet = bytearray()
     while True:
-        for c in range(graph.letter_count):
-            step = _reduce_codes(graph, here + bytes([c]))
-            ny = _dist_codes(graph, step, ty)
-            if ny != dy - 1:
-                continue
-            nz = _dist_codes(graph, step, tz)
-            if nz != dz - 1:
-                continue
-            here, dy, dz = step, ny, nz
-            break
-        else:
-            return Word(graph, _normal_codes(graph, here))
+        common = {u[p] for p in _front_movable_positions(graph, u)}
+        common &= {v[p] for p in _front_movable_positions(graph, v)}
+        if not common:
+            return Word(graph, _nf_of(graph, x.codes + bytes(meet)))
+        c = min(common)
+        meet.append(c)
+        u = _reduce_codes(graph, bytes([c ^ 1]) + u)
+        v = _reduce_codes(graph, bytes([c ^ 1]) + v)
 
 
 # ---------------------------------------------------------------------------

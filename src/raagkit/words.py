@@ -32,7 +32,8 @@ from .graphs import DefiningGraph
 
 _TOKEN_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 
-_NF_CACHE_LIMIT = 400_000
+# Size at which a per-graph cache (normal forms, half-space bases) is cleared.
+_CACHE_LIMIT = 400_000
 
 
 class Letter(NamedTuple):
@@ -58,6 +59,13 @@ def _least_rotation(codes: bytes) -> bytes:
     n = len(codes)
     doubled = codes * 2
     return min([doubled[i : i + n] for i in range(n)])
+
+
+def _cache_put(cache: dict, key, value) -> None:
+    """Store ``value`` in a per-graph cache, clearing the cache first when it is full."""
+    if len(cache) >= _CACHE_LIMIT:
+        cache.clear()
+    cache[key] = value
 
 
 def _reduce_codes(graph: DefiningGraph, codes: bytes) -> bytes:
@@ -117,9 +125,7 @@ def _normal_codes(graph: DefiningGraph, reduced: bytes) -> bytes:
         out.append(best_code)
         del remaining[best_pos]
     result = bytes(out)
-    if len(cache) >= _NF_CACHE_LIMIT:
-        cache.clear()
-    cache[reduced] = result
+    _cache_put(cache, reduced, result)
     return result
 
 
@@ -183,20 +189,11 @@ def _strip_suffix_in(graph: DefiningGraph, codes: bytes, gen_mask: int) -> bytes
 
 
 def _strip_front_in(graph: DefiningGraph, codes: bytes, gen_mask: int) -> bytes:
-    """Greedily delete front-movable letters with generator in ``gen_mask``."""
-    work = bytearray(codes)
-    nc = graph._nc_mask
-    while True:
-        blocked = 0
-        hit = -1
-        for pos, c in enumerate(work):
-            if not (blocked >> c) & 1 and (gen_mask >> (c >> 1)) & 1:
-                hit = pos
-                break
-            blocked |= nc[c]
-        if hit < 0:
-            return bytes(work)
-        del work[hit]
+    """Greedily delete front-movable letters with generator in ``gen_mask``.
+
+    The mirror image of :func:`_strip_suffix_in`, read through the inverse.
+    """
+    return _inv_codes(_strip_suffix_in(graph, _inv_codes(codes), gen_mask))
 
 
 def _cyc_reduce_codes(graph: DefiningGraph, codes: bytes) -> tuple[bytes, bytes]:
@@ -248,7 +245,7 @@ class Word:
     __slots__ = ("graph", "codes", "_hash")
 
     def __init__(self, graph: DefiningGraph, codes: bytes):
-        if any(c >= graph.letter_count for c in codes):
+        if codes and max(codes) >= graph.letter_count:
             raise UnknownGenerator("letter code out of range for this graph")
         self.graph = graph
         self.codes = codes

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: output shapes, exit codes, caps."""
 
+import argparse
 import io
 import json
 import re
@@ -191,6 +192,16 @@ def test_argparse_messages_use_the_given_streams(free2_file, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+def test_shared_parser_gives_the_same_streams_twice(p3_file, capsys):
+    # help, a usage error, an input error and a good call on the one parser
+    calls = [["--help"], ["nf"], ["nf", p3_file, "axq"], ["nf", p3_file, "ba"]]
+    first = [run(argv) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 2, 2, 0]
+    assert first[3] == (0, "ab\n", "")
+    assert [run(argv) for argv in calls] == first
+    assert capsys.readouterr() == ("", "")
+
+
 def test_missing_graph_file():
     code, _, err = run(["nf", "/no/such/file.graph", "a"])
     assert code == 2
@@ -238,6 +249,21 @@ def test_caps_env_malformed(p3_file, monkeypatch):
         assert "RAAG_KIT_CAPS" in err
 
 
+# Each subcommand's argparse usage, on one line when 200 columns wide.
+_USAGES = {
+    "verify-overlap": (
+        "usage: raagkit verify-overlap [-h] [--n-max N_MAX] [--reps-cap REPS_CAP] "
+        "[--mode {disjoint,any}] [--json] graph word"
+    ),
+    "cube axioms": (
+        "usage: raagkit cube axioms [-h] [--radius RADIUS] [--samples SAMPLES] [--seed SEED] graph"
+    ),
+    "cube chains": (
+        "usage: raagkit cube chains [-h] [--radius RADIUS] [--samples SAMPLES] [--seed SEED] graph"
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -247,11 +273,13 @@ def test_caps_env_malformed(p3_file, monkeypatch):
         (["cube", "chains", "{f2}", "--samples", "-3"], "--samples"),
     ],
 )
-def test_numeric_flags_below_minimum(free2_file, argv, flag):
+def test_numeric_flags_below_minimum(free2_file, monkeypatch, argv, flag):
+    monkeypatch.setenv("COLUMNS", "200")
     code, out, err = run([a.format(f2=free2_file) for a in argv])
     assert (code, out) == (2, "")
-    assert f"error: {flag} must be at least" in err
-    assert f"usage: raagkit {argv[0]}" in err
+    message, usage = err.splitlines()
+    assert message.startswith(f"error: {flag} must be at least")
+    assert usage == _USAGES[" ".join(argv[: argv.index("{f2}")])]
 
 
 def test_console_script_installed(p3_file):
@@ -284,6 +312,14 @@ def _usage_argv(usage):
     return argv
 
 
+def _leaf_progs(parser):
+    """The ``prog`` of every subcommand that takes no further subcommand."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        return {parser.prog}
+    return {prog for sub in subparsers[0].choices.values() for prog in _leaf_progs(sub)}
+
+
 def test_readme_cli_section_matches_parser():
     section = _readme_cli_section()
     usages = [
@@ -291,13 +327,15 @@ def test_readme_cli_section_matches_parser():
         for line in section.split("```", 2)[1].splitlines()
         if line.startswith("raagkit ")
     ]
-    parser = cli._build_parser()
     for usage in usages:
         try:
-            parser.parse_args(_usage_argv(usage))
-        except SystemExit:
+            cli._PARSER.parse_args(_usage_argv(usage))
+        except cli._ParserExit:
             pytest.fail(f"README usage {usage!r} is rejected by the parser")
     flags = re.compile(r"--[a-z][a-z-]*")
     unlisted = set(flags.findall(section)) - set(flags.findall(" ".join(usages)))
     assert not unlisted, f"README names flags outside every usage line: {unlisted}"
-    assert set(cli._SYNOPSES) <= {usage.split()[1] for usage in usages}
+    for prog in _leaf_progs(cli._PARSER):
+        assert any(
+            usage == prog or usage.startswith(prog + " ") for usage in usages
+        ), f"README has no usage line for {prog!r}"

@@ -43,6 +43,7 @@ from raagkit import (
     power,
     tightly_nested,
     tightly_nested_globally,
+    words,
 )
 
 
@@ -394,17 +395,44 @@ def test_median_examples(p3, edgeless2):
     ).display() == "ab"
 
 
-def test_median_betweenness_small(p3, c4):
+def test_median_betweenness_small(p3, c4, c5, k3_pendant):
     rng = random.Random(77)
-    for graph in (p3, c4):
+    for graph in (p3, c4, c5, k3_pendant):
         verts = ball(graph, 2)
-        for _ in range(30):
-            x, y, z = (rng.choice(verts) for _ in range(3))
-            m = median(x, y, z)
-            for u, v in ((x, y), (y, z), (x, z)):
-                assert distance(u, m) + distance(m, v) == distance(u, v)
-            # symmetric in its arguments
-            assert median(z, x, y) == m
+        # ball vertices, then unreduced words of up to 12 letters
+        letters = range(graph.letter_count)
+        long_words = [
+            Word(graph, bytes(rng.choice(letters) for _ in range(rng.randint(0, 12))))
+            for _ in range(90)
+        ]
+        for pool in (verts, long_words):
+            for _ in range(30):
+                x, y, z = (rng.choice(pool) for _ in range(3))
+                m = median(x, y, z)
+                for u, v in ((x, y), (y, z), (x, z)):
+                    assert distance(u, m) + distance(m, v) == distance(u, v)
+                # symmetric in its arguments
+                assert median(z, x, y) == m
+
+
+def test_caches_clear_when_full(monkeypatch):
+    """Normal forms and half-space bases share one cache limit; a full cache is cleared."""
+
+    def answers():
+        graph = DefiningGraph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+        rng = random.Random(5)
+        out = []
+        for _ in range(60):
+            x = Word(graph, bytes(rng.randrange(8) for _ in range(rng.randint(0, 9))))
+            out.append(normal_form(x).display())
+            out += [halfspace_of_edge(x, (v, 1)).display() for v in graph.vertices]
+            assert len(graph._nf_cache) <= words._CACHE_LIMIT
+            assert len(graph._canon_base_cache) <= words._CACHE_LIMIT
+        return out
+
+    expected = answers()
+    monkeypatch.setattr(words, "_CACHE_LIMIT", 5)
+    assert answers() == expected
 
 
 # -- global in_a_g_plus -----------------------------------------------------

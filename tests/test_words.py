@@ -12,6 +12,7 @@ import pytest
 import helpers as H
 from raagkit import (
     CyclicWord,
+    DefiningGraph,
     EmptyWord,
     GraphMismatch,
     NotCyclicallyReduced,
@@ -61,6 +62,13 @@ def test_parse_rejects(p3):
         w(p3, "q^2")
     with pytest.raises(WordSyntaxError):
         w(p3, "a^^2")
+
+
+def test_word_rejects_out_of_range_codes(p3):
+    # p3 has letter codes 0..5
+    with pytest.raises(UnknownGenerator):
+        Word(p3, bytes([6]))
+    assert Word(DefiningGraph([], []), b"").is_identity
 
 
 def test_display_round_trip(p3):
