@@ -112,6 +112,9 @@ class AngledComplex:
             self.faces[fid] = (tuple(boundary), tuple(angles))
 
         self.corners: tuple[Corner, ...] = tuple(self._build_corners())
+        self._corners_at: dict[VertexId, list[Corner]] = {v: [] for v in self.vertices}
+        for corner in self.corners:
+            self._corners_at[corner.vertex].append(corner)
         self._links = self._build_links()
         occurrences: dict[int, int] = {e: 0 for e in self.edges}
         for boundary, _ in self.faces.values():
@@ -159,7 +162,6 @@ class AngledComplex:
         for eid, (v, w) in self.edges.items():
             nodes[v].add((eid, 0))
             nodes[w].add((eid, 1))
-        arcs: dict[VertexId, int] = {v: 0 for v in self.vertices}
         for corner in self.corners:
             for end in corner.arc:
                 if end not in nodes[corner.vertex]:
@@ -167,8 +169,7 @@ class AngledComplex:
                         f"corner of face {corner.face!r} at {corner.vertex!r} "
                         f"touches edge-end {end!r} not incident to the vertex"
                     )
-            arcs[corner.vertex] += 1
-        return {v: (len(nodes[v]), arcs[v]) for v in self.vertices}
+        return {v: (len(nodes[v]), len(self._corners_at[v])) for v in self.vertices}
 
     # -- queries ------------------------------------------------------------
 
@@ -180,9 +181,9 @@ class AngledComplex:
         return n - a
 
     def corners_at_vertex(self, v: VertexId) -> list[Corner]:
-        if v not in self._links:
+        if v not in self._corners_at:
             raise UnknownVertex(f"unknown vertex {v!r}")
-        return [c for c in self.corners if c.vertex == v]
+        return list(self._corners_at[v])
 
     def face_side_count(self, f: VertexId) -> int:
         if f not in self.faces:

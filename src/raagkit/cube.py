@@ -20,10 +20,12 @@ letters do not commute, closed transitively (Cartier–Foata; Viennot's heaps of
 pieces).  The interval's vertices are ``x`` times the order ideals of that
 poset, so two walls cross iff their positions are incomparable, nest iff they
 are comparable with both half-spaces oriented alike, and the walls between
-two nested ones are the positions between them.  The module also provides
-global variants (no context needed) used by the axiom checkers, based on a
-double-coset membership test for crossing and on membership probes for
-nesting.
+two nested ones are the positions between them.  The global variants used
+by the axiom checkers need no context: they read everything off the one
+reduced word ``u = reduce(b_h^-1 b_k)`` between the two bases, crossing by a
+double-coset strip, each base's side of the other wall by the letters ``u``
+can start or end with, and tightness by the heap of ``u`` with edge letters
+added; they build no interval and canonicalise no half-space.
 """
 
 from __future__ import annotations
@@ -48,14 +50,13 @@ from .words import (
     Letter,
     Word,
     _cache_put,
+    _back_movable_positions,
     _cyc_reduce_codes,
-    _dist_codes,
     _front_movable_positions,
     _inv_codes,
     _nf_of,
     _normal_codes,
     _reduce_codes,
-    _strip_front_in,
     _strip_suffix_in,
     is_cyclically_reduced,
     normal_form,
@@ -173,24 +174,23 @@ def halfspace_of_edge(x: Word, letter: Letter | tuple[str, int] | str) -> HalfSp
     return _halfspace_at(x.graph, x.codes, x.graph.code(name, sign))
 
 
-def _member_codes(graph: DefiningGraph, x_reduced: bytes, hs: HalfSpace) -> bool:
-    edge_head = hs.base_codes + bytes([2 * hs.label_index])
-    closer_to_head = _dist_codes(graph, x_reduced, edge_head) < _dist_codes(
-        graph, x_reduced, hs.base_codes
-    )
-    return closer_to_head if hs.sign > 0 else not closer_to_head
+def _member_codes(graph: DefiningGraph, x: bytes, hs: HalfSpace) -> bool:
+    to_base = _reduce_codes(graph, _inv_codes(x) + hs.base_codes)
+    ends = {to_base[p] for p in _back_movable_positions(graph, to_base)}
+    return (2 * hs.label_index + 1 in ends) == (hs.sign > 0)
 
 
 def member(x: Word, hs: HalfSpace) -> bool:
     """True iff the vertex ``x`` lies in the half-space.
 
     The two endpoints of the defining edge straddle the hyperplane, so the
-    distances from ``x`` to them always differ by exactly one; membership is
-    decided by which is closer.
+    distances from ``x`` to them always differ by exactly one.  The vertex
+    is nearer the head ``base*a`` exactly when the reduced word from ``x``
+    to the base can be shuffled to end in ``a^-1``: one reduction decides.
     """
     if x.graph != hs.graph:
         raise GraphMismatch("vertex and half-space live over different graphs")
-    return _member_codes(x.graph, _reduce_codes(x.graph, x.codes), hs)
+    return _member_codes(x.graph, x.codes, hs)
 
 
 def act(f: Word, hs: HalfSpace) -> HalfSpace:
@@ -198,14 +198,30 @@ def act(f: Word, hs: HalfSpace) -> HalfSpace:
     graph = hs.graph
     if f.graph != graph:
         raise GraphMismatch("element and half-space live over different graphs")
-    moved = _reduce_codes(graph, f.codes + hs.base_codes)
-    base = _canon_base(graph, moved, hs.label_index)
+    base = _canon_base(graph, f.codes + hs.base_codes, hs.label_index)
     return HalfSpace(graph, base, hs.label_index, hs.sign)
 
 
 # ---------------------------------------------------------------------------
 # intervals and context relations
 # ---------------------------------------------------------------------------
+
+
+def _heap_down(graph: DefiningGraph, word: bytes) -> list[int]:
+    """``down[j]``: bitmask of the positions strictly below ``j`` in the heap of ``word``.
+
+    Positions ``i < j`` are ordered when their letters do not commute, and
+    the order is closed transitively.
+    """
+    nc = graph._nc_mask
+    down: list[int] = []
+    for j, c in enumerate(word):
+        below = 0
+        for i in range(j):
+            if (nc[word[i]] >> c) & 1:
+                below |= (1 << i) | down[i]
+        down.append(below)
+    return down
 
 
 class Interval:
@@ -228,19 +244,13 @@ class Interval:
         self.end = normal_form(end)
         self.hull_cap = DEFAULT_HULL_CAP if hull_cap is None else hull_cap
 
-        nc = graph._nc_mask
         self._word = _nf_of(graph, _inv_codes(self.start.codes) + self.end.codes)
-        self._down: list[int] = []
+        self._down = _heap_down(graph, self._word)
         halfspaces = []
         here = self.start.codes
-        for j, c in enumerate(self._word):
+        for c in self._word:
             halfspaces.append(_halfspace_at(graph, here, c))
             here += bytes([c])
-            down = 0
-            for i in range(j):
-                if (nc[self._word[i]] >> c) & 1:
-                    down |= (1 << i) | self._down[i]
-            self._down.append(down)
         self.halfspaces: tuple[HalfSpace, ...] = tuple(halfspaces)
         self._index = {hs: i for i, hs in enumerate(self.halfspaces)}
 
@@ -512,68 +522,88 @@ def median(x: Word, y: Word, z: Word) -> Word:
 # ---------------------------------------------------------------------------
 
 
+def _walls_cross(graph: DefiningGraph, h: HalfSpace, k: HalfSpace, u: bytes) -> bool:
+    """Crossing for adjacent labels, given ``u = reduce(b_h^-1 b_k)``."""
+    lk = graph._lk_mask
+    # stripping front letters of u is stripping back letters of its inverse
+    rest = _strip_suffix_in(graph, _inv_codes(u), lk[h.label_index])
+    return all((lk[k.label_index] >> (c >> 1)) & 1 for c in rest)
+
+
 def hyperplanes_cross(h: HalfSpace, k: HalfSpace) -> bool:
     """Whether the underlying hyperplanes cross, tested globally.
 
-    Crossing happens inside a square, so the labels must be distinct and
-    adjacent, and some vertex must carry both defining edges: the bases must
+    Crossing happens inside a square, so the labels must be adjacent (hence
+    distinct), and some vertex must carry both defining edges: the bases must
     lie in a common ``<lk(h)> * <lk(k)>`` double coset.  That membership is
     decided by greedily stripping front-movable letters of the first link
-    and checking the remainder lies in the second link's subgroup.
+    from ``u = reduce(b_h^-1 b_k)`` and checking the remainder lies in the
+    second link's subgroup.
     """
     if h.graph != k.graph:
         raise GraphMismatch("half-spaces live over different graphs")
     graph = h.graph
-    if h.label_index == k.label_index:
-        return False
     if not (graph._lk_mask[h.label_index] >> k.label_index) & 1:
         return False
-    w = _reduce_codes(graph, _inv_codes(h.base_codes) + k.base_codes)
-    rest = _strip_front_in(graph, w, graph._lk_mask[h.label_index])
-    k_mask = graph._lk_mask[k.label_index]
-    return all((k_mask >> (c >> 1)) & 1 for c in rest)
+    u = _reduce_codes(graph, _inv_codes(h.base_codes) + k.base_codes)
+    return _walls_cross(graph, h, k, u)
+
+
+def _nesting(h: HalfSpace, k: HalfSpace) -> tuple[Optional[int], bytes]:
+    """The nesting direction of :func:`nested_globally`, with ``u = reduce(b_h^-1 b_k)``."""
+    if h.graph != k.graph:
+        raise GraphMismatch("half-spaces live over different graphs")
+    if h.wall_key() == k.wall_key():
+        return None, b""
+    graph = h.graph
+    u = _reduce_codes(graph, _inv_codes(h.base_codes) + k.base_codes)
+    if (graph._lk_mask[h.label_index] >> k.label_index) & 1 and _walls_cross(graph, h, k, u):
+        return None, u
+    # u runs from b_h to b_k and its inverse from b_k to b_h
+    ends = {u[p] for p in _back_movable_positions(graph, u)}
+    starts = {u[p] for p in _front_movable_positions(graph, u)}
+    h_side = (2 * k.label_index + 1 in ends) == (k.sign > 0)
+    k_side = (2 * h.label_index in starts) == (h.sign > 0)
+    return (None if h_side == k_side else 1 if k_side else -1), u
 
 
 def nested_globally(h: HalfSpace, k: HalfSpace) -> Optional[int]:
     """Global nesting direction: +1 if h ⊃ k, -1 if k ⊃ h, None otherwise.
 
     For distinct non-crossing hyperplanes each defining edge lies entirely on
-    one side of the other hyperplane, so two membership probes classify the
-    four possible configurations.
+    one side of the other hyperplane, so the sides of the two bases classify
+    the four configurations.  Both come from the crossing test's reduction
+    ``u = reduce(b_h^-1 b_k)``: ``b_h ∈ K`` iff ``u`` can end in the inverse
+    of k's label (as for :func:`member`), ``b_k ∈ H`` iff it can start with
+    h's label.
     """
-    if h.wall_key() == k.wall_key():
-        return None
-    if hyperplanes_cross(h, k):
-        return None
-    h_side = _member_codes(h.graph, h.base_codes, k)  # whole edge of h vs k
-    k_side = _member_codes(k.graph, k.base_codes, h)
-    if k_side and not h_side:
-        return 1
-    if h_side and not k_side:
-        return -1
-    return None
-
-
-def _edge_endpoint(hs: HalfSpace, inside: bool) -> bytes:
-    head = hs.base_codes + bytes([2 * hs.label_index])
-    on_plus_side = inside if hs.sign > 0 else not inside
-    return head if on_plus_side else hs.base_codes
+    return _nesting(h, k)[0]
 
 
 def tightly_nested_globally(h: HalfSpace, k: HalfSpace) -> bool:
     """Global tight nesting: nested with no half-space at all strictly between.
 
-    Any half-space between the pair separates a point just outside the outer
-    one from a point just inside the inner one, so scanning that single
-    finite interval is exhaustive.
+    Any half-space between the pair separates the end ``p_out`` of the outer
+    defining edge outside it from the end ``p_in`` of the inner one inside
+    it, so the walls of ``[p_out, p_in]`` are exhaustive: the positions of
+    the heap of ``w = reduce(p_out^-1 p_in)``, i.e. ``u^±1`` with an edge
+    letter added at a head end.  The outer wall touches ``p_out``, so it is
+    the first letter of its generator; the inner wall is the last of its
+    own.  Letters of one generator are totally ordered in every spelling.
+    Tight means no position lies above the first and below the second.
     """
-    direction = nested_globally(h, k)
+    direction, u = _nesting(h, k)
     if direction is None:
         return False
-    outer, inner = (h, k) if direction == 1 else (k, h)
-    p_out = Word(h.graph, _edge_endpoint(outer, inside=False))
-    p_in = Word(h.graph, _edge_endpoint(inner, inside=True))
-    return tightly_nested(outer, inner, interval(p_out, p_in))
+    outer, inner, u = (h, k, u) if direction == 1 else (k, h, _inv_codes(u))
+    out_code = 2 * outer.label_index + (outer.sign < 0)  # the edge letter out of p_out
+    in_code = 2 * inner.label_index + (inner.sign < 0)  # the edge letter into p_in
+    head_out = bytes([out_code]) if outer.sign < 0 else b""
+    head_in = bytes([in_code]) if inner.sign > 0 else b""
+    w = _reduce_codes(h.graph, head_out + u + head_in)
+    lo, hi = w.index(out_code), w.rindex(in_code)
+    down = _heap_down(h.graph, w[: hi + 1])
+    return not any((down[hi] >> r) & 1 and (down[r] >> lo) & 1 for r in range(lo + 1, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +655,8 @@ def in_a_g_plus(g: Word, hs: HalfSpace) -> bool:
     graph = g.graph
     if not any(c >> 1 == hs.label_index for c in g.codes):
         return False  # the axis only crosses hyperplanes labeled by letters of g
-    m = _axis_window(g, hs)
-    pos = _reduce_codes(graph, g.codes * m)
-    neg = _inv_codes(pos)
-    return _member_codes(graph, pos, hs) and not _member_codes(graph, neg, hs)
+    pos = g.codes * _axis_window(g, hs)
+    return _member_codes(graph, pos, hs) and not _member_codes(graph, _inv_codes(pos), hs)
 
 
 # ---------------------------------------------------------------------------
@@ -672,9 +700,7 @@ class SpecialAxiomsReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "radius": self.radius,
-            "samples": self.samples,
-            "seed": self.seed,
+            **vars(self),
             "checked": dict(sorted(self.checked.items())),
             "violations": list(self.violations),
             "ok": self.ok,
@@ -697,9 +723,7 @@ def check_special_axioms(
     """
     rng = random.Random(seed)
     pool = ball(graph, radius)
-    letters = [
-        (name, sign) for name in graph.vertices for sign in (1, -1)
-    ]
+    letters = [(name, sign) for name in graph.vertices for sign in (1, -1)]
     report = SpecialAxiomsReport(radius=radius, samples=samples, seed=seed)
     counts = {"s1": 0, "s2": 0, "s3": 0, "s4": 0, "s4_eligible": 0}
     if not letters:
@@ -751,17 +775,7 @@ class MaxChainsReport:
         return not self.violations
 
     def to_json_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "samples": self.samples,
-            "seed": self.seed,
-            "intervals_checked": self.intervals_checked,
-            "nested_pairs": self.nested_pairs,
-            "chains_enumerated": self.chains_enumerated,
-            "midpoint_pairs": self.midpoint_pairs,
-            "violations": list(self.violations),
-            "ok": self.ok,
-        }
+        return {**vars(self), "violations": list(self.violations), "ok": self.ok}
 
 
 def check_max_chains(
@@ -801,4 +815,100 @@ def check_max_chains(
                             f"{mids[a].display()} vs {mids[b].display()} "
                             f"in [{x.display()}, {y.display()}]"
                         )
+    return report
+
+
+# ---------------------------------------------------------------------------
+# translated-interval search
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class NoOverlapSearchReport:
+    """Result of searching for a translate reversing a long axis segment."""
+
+    g: Word
+    radius: int
+    samples: int
+    seed: int
+    pairs_checked: int = 0
+    elements_checked: int = 0
+    triples_checked: int = 0
+    premise_failures: int = 0
+    violations: list[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations and not self.premise_failures
+
+    def to_json_dict(self) -> dict:
+        return {
+            **vars(self),
+            "g": self.g.display(),
+            "violations": list(self.violations),
+            "ok": self.ok,
+        }
+
+
+def _axis_point(graph: DefiningGraph, g_codes: bytes, offset: int) -> bytes:
+    """Normal form of the axis vertex ``offset`` letters from the basepoint."""
+    span = len(g_codes) * 2
+    doubled = g_codes * 2
+    if offset >= 0:
+        q, r = divmod(offset, span)
+        path = doubled * q + doubled[:r]
+    else:
+        # the backwards path spells the inverse of (suffix + full blocks)
+        q, r = divmod(-offset, span)
+        path = _inv_codes(doubled) * q + (_inv_codes(doubled[span - r :]) if r else b"")
+    return _nf_of(graph, path)
+
+
+def search_prop_noov_violation(
+    g: Word, radius: int = 3, samples: int = 200, seed: int = 0x5C1
+) -> NoOverlapSearchReport:
+    """Look for an element carrying a long attracting-axis segment backwards.
+
+    Vertex pairs x, y are taken on the axis of ``g`` (two periods either
+    side of the basepoint) with the segment [x, y] inside the attracting
+    half-space family and strictly longer than half a period.  For every
+    element f of length at most ``radius`` the reversed translate is tested:
+    a violation means every half-space of [f*y, f*x] still lies in the
+    attracting family.  None is expected; the identity element is the
+    canonical near-miss (it reverses the segment exactly).
+    """
+    _require_cyclically_reduced(g)
+    graph = g.graph
+    rng = random.Random(seed)
+    period = len(g.codes)
+    offsets = range(-2 * period, 2 * period + 1)
+    pairs = [
+        (i, j)
+        for i in offsets
+        for j in offsets
+        if j > i and 2 * (j - i) > period
+    ]
+    if len(pairs) > samples:
+        pairs = sorted(rng.sample(pairs, samples))
+    pool = ball(graph, radius)
+    report = NoOverlapSearchReport(g=g, radius=radius, samples=samples, seed=seed)
+    report.elements_checked = len(pool)
+    for i, j in pairs:
+        x = Word(graph, _axis_point(graph, g.codes, i))
+        y = Word(graph, _axis_point(graph, g.codes, j))
+        segment = interval(x, y)
+        if not all(in_a_g_plus(g, hs) for hs in segment.halfspaces):
+            report.premise_failures += 1
+            continue
+        report.pairs_checked += 1
+        for f in pool:
+            report.triples_checked += 1
+            fy = Word(graph, _reduce_codes(graph, f.codes + y.codes))
+            fx = Word(graph, _reduce_codes(graph, f.codes + x.codes))
+            reversed_segment = interval(fy, fx)
+            if all(in_a_g_plus(g, hs) for hs in reversed_segment.halfspaces):
+                report.violations.append(
+                    f"f={f.display()} carries [{x.display()}, {y.display()}] "
+                    "backwards inside the attracting family"
+                )
     return report

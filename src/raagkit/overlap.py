@@ -22,8 +22,7 @@ enumerating it.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
@@ -35,15 +34,11 @@ from .words import (
     Word,
     _inv_codes,
     _least_rotation,
-    _nf_of,
-    _reduce_codes,
     cyclically_reduce,
-    is_cyclically_reduced,
     normal_form,
     power,
     reduce,
 )
-from .cube import ball, in_a_g_plus, interval
 
 DEFAULT_REPS_CAP = 200_000
 
@@ -380,107 +375,3 @@ def projection_overlap_bound(w: CyclicWord, mode: str = "disjoint") -> tuple[int
         if best is None or total < best:
             best, best_partition = total, partition
     return (0 if best is None else best), best_partition
-
-
-# ---------------------------------------------------------------------------
-# translated-interval search
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class NoOverlapSearchReport:
-    """Result of searching for a translate reversing a long axis segment."""
-
-    g: Word
-    radius: int
-    samples: int
-    seed: int
-    pairs_checked: int = 0
-    elements_checked: int = 0
-    triples_checked: int = 0
-    premise_failures: int = 0
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.premise_failures
-
-    def to_json_dict(self) -> dict:
-        return {
-            "g": self.g.display(),
-            "radius": self.radius,
-            "samples": self.samples,
-            "seed": self.seed,
-            "pairs_checked": self.pairs_checked,
-            "elements_checked": self.elements_checked,
-            "triples_checked": self.triples_checked,
-            "premise_failures": self.premise_failures,
-            "violations": list(self.violations),
-            "ok": self.ok,
-        }
-
-
-def _axis_point(graph: DefiningGraph, g_codes: bytes, offset: int) -> bytes:
-    """Normal form of the axis vertex ``offset`` letters from the basepoint."""
-    span = len(g_codes) * 2
-    doubled = g_codes * 2
-    if offset >= 0:
-        q, r = divmod(offset, span)
-        path = doubled * q + doubled[:r]
-    else:
-        # the backwards path spells the inverse of (suffix + full blocks)
-        q, r = divmod(-offset, span)
-        path = _inv_codes(doubled) * q + (_inv_codes(doubled[span - r :]) if r else b"")
-    return _nf_of(graph, path)
-
-
-def search_prop_noov_violation(
-    g: Word, radius: int = 3, samples: int = 200, seed: int = 0x5C1
-) -> NoOverlapSearchReport:
-    """Look for an element carrying a long attracting-axis segment backwards.
-
-    Vertex pairs x, y are taken on the axis of ``g`` (two periods either
-    side of the basepoint) with the segment [x, y] inside the attracting
-    half-space family and strictly longer than half a period.  For every
-    element f of length at most ``radius`` the reversed translate is tested:
-    a violation means every half-space of [f*y, f*x] still lies in the
-    attracting family.  None is expected; the identity element is the
-    canonical near-miss (it reverses the segment exactly).
-    """
-    from .cube import _require_cyclically_reduced  # shared validation
-
-    _require_cyclically_reduced(g)
-    graph = g.graph
-    rng = random.Random(seed)
-    period = len(g.codes)
-    offsets = range(-2 * period, 2 * period + 1)
-    pairs = [
-        (i, j)
-        for i in offsets
-        for j in offsets
-        if j > i and 2 * (j - i) > period
-    ]
-    if len(pairs) > samples:
-        pairs = sorted(rng.sample(pairs, samples))
-    pool = ball(graph, radius)
-    report = NoOverlapSearchReport(g=g, radius=radius, samples=samples, seed=seed)
-    report.elements_checked = len(pool)
-    for i, j in pairs:
-        x = Word(graph, _axis_point(graph, g.codes, i))
-        y = Word(graph, _axis_point(graph, g.codes, j))
-        segment = interval(x, y)
-        if not all(in_a_g_plus(g, hs) for hs in segment.halfspaces):
-            report.premise_failures += 1
-            continue
-        report.pairs_checked += 1
-        for f in pool:
-            report.triples_checked += 1
-            fy = Word(graph, _reduce_codes(graph, f.codes + y.codes))
-            fx = Word(graph, _reduce_codes(graph, f.codes + x.codes))
-            reversed_segment = interval(fy, fx)
-            if all(in_a_g_plus(g, hs) for hs in reversed_segment.halfspaces):
-                report.violations.append(
-                    f"f={f.display()} carries [{x.display()}, {y.display()}] "
-                    "backwards inside the attracting family"
-                )
-    return report

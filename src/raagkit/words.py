@@ -133,11 +133,6 @@ def _nf_of(graph: DefiningGraph, codes: bytes) -> bytes:
     return _normal_codes(graph, _reduce_codes(graph, codes))
 
 
-def _dist_codes(graph: DefiningGraph, x: bytes, y: bytes) -> int:
-    """Word-length distance between group elements given by coded words."""
-    return len(_reduce_codes(graph, _inv_codes(x) + y))
-
-
 def _front_movable_positions(graph: DefiningGraph, codes: bytes) -> list[int]:
     """Positions whose letter commutes with everything before it."""
     nc = graph._nc_mask
@@ -186,14 +181,6 @@ def _strip_suffix_in(graph: DefiningGraph, codes: bytes, gen_mask: int) -> bytes
         if hit < 0:
             return bytes(work)
         del work[hit]
-
-
-def _strip_front_in(graph: DefiningGraph, codes: bytes, gen_mask: int) -> bytes:
-    """Greedily delete front-movable letters with generator in ``gen_mask``.
-
-    The mirror image of :func:`_strip_suffix_in`, read through the inverse.
-    """
-    return _inv_codes(_strip_suffix_in(graph, _inv_codes(codes), gen_mask))
 
 
 def _cyc_reduce_codes(graph: DefiningGraph, codes: bytes) -> tuple[bytes, bytes]:

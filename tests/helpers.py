@@ -307,6 +307,79 @@ def square_crawl_walls(graph, compare_radius: int, crawl_radius: int):
 
 
 # ---------------------------------------------------------------------------
+# global half-space relations through distances and intervals
+# ---------------------------------------------------------------------------
+#
+# The formulation the package used before it read these relations off one
+# reduction: membership by comparing two distances, nesting by membership
+# probes of the bases, tightness by the context relation on an interval
+# (itself checked against a hull oracle in test_cube.py).  Distances reuse
+# the package's reduction; these oracles concern the cube layer.
+
+
+def _edge_ends(hs):
+    """The two ends ``(base, base*a)`` of the defining edge, as words."""
+    from raagkit import Word
+
+    base, letter = hs.defining_edge()
+    return base, base * Word.from_letters(base.graph, [letter])
+
+
+def member_by_distances(x, hs) -> bool:
+    """``x ∈ hs``: the nearer end of the defining edge says which side ``x`` is on."""
+    from raagkit import inverse, reduce
+
+    base, head = _edge_ends(hs)
+    nearer_head = len(reduce(inverse(x) * head)) < len(reduce(inverse(x) * base))
+    return nearer_head == (hs.sign > 0)
+
+
+def _end_on_side(hs, inside: bool):
+    return next(p for p in _edge_ends(hs) if member_by_distances(p, hs) == inside)
+
+
+def cross_by_interval(h, k) -> bool:
+    """Crossing read in an interval whose ends both walls separate.
+
+    ``p`` is the end of h's edge on the other side of h from ``b_k``, ``q``
+    the end of k's edge on the other side of k from ``p``; the two ends of
+    k's edge lie on one side of h unless the walls coincide.
+    """
+    from raagkit import crosses, interval
+
+    if h.wall_key() == k.wall_key():
+        return False
+    p = _end_on_side(h, not member_by_distances(k.base, h))
+    q = _end_on_side(k, not member_by_distances(p, k))
+    return crosses(h, k, interval(p, q))
+
+
+def nested_by_probes(h, k):
+    """+1 if h ⊃ k, -1 if k ⊃ h, else None: which side of the other wall each base is on."""
+    if h.wall_key() == k.wall_key() or cross_by_interval(h, k):
+        return None
+    h_side = member_by_distances(h.base, k)
+    k_side = member_by_distances(k.base, h)
+    if k_side and not h_side:
+        return 1
+    if h_side and not k_side:
+        return -1
+    return None
+
+
+def tight_by_interval(h, k) -> bool:
+    """Tight nesting in the interval from outside the outer edge to inside the inner one."""
+    from raagkit import interval, tightly_nested
+
+    direction = nested_by_probes(h, k)
+    if direction is None:
+        return False
+    outer, inner = (h, k) if direction == 1 else (k, h)
+    p_out, p_in = _end_on_side(outer, False), _end_on_side(inner, True)
+    return tightly_nested(outer, inner, interval(p_out, p_in))
+
+
+# ---------------------------------------------------------------------------
 # exhaustive conjugacy-class enumeration for the overlap suite
 # ---------------------------------------------------------------------------
 

@@ -101,6 +101,21 @@ def test_unknown_lookups_raise():
         curvature_face(t, "nope")
 
 
+def test_corners_at_vertex_matches_linear_filter():
+    """The vertex index gives each vertex's corners in corner order, like a scan."""
+    rng = random.Random(0xC0)
+    complexes = [H.torus_grid(3, 4), H.disk_grid(2, 3), H.annulus_grid(2, 3), H.genus2_octagon()]
+    complexes += [H.random_valid_complex(rng) for _ in range(20)]
+    for cx in complexes:
+        for v in cx.vertices:
+            expected = [c for c in cx.corners if c.vertex == v]
+            assert cx.corners_at_vertex(v) == expected
+            cx.corners_at_vertex(v).clear()  # callers get their own list
+            assert cx.corners_at_vertex(v) == expected
+        with pytest.raises(UnknownVertex):
+            cx.corners_at_vertex("nope")
+
+
 # -- curvature --------------------------------------------------------------
 
 

@@ -1,21 +1,27 @@
 """Half-spaces, intervals, chains, medians, and the global relations.
 
 Oracle strategy: context relations (read off the heap poset of the
-interval's normal form) and global relations (coset algebra) are two
-independent code paths that must agree whenever both half-spaces separate a
-common pair of vertices.  The context relations and the interval's vertex
-set are also checked, in both orientations, against a hull oracle that uses
-no poset: the interval's vertices are the ball vertices on a geodesic,
-found by distance sums, and relations come from counting quadrants of
-``member`` over them.  ``in_a_g_plus`` is checked against its definition
-with a large explicit power.  Distances fall out of normal forms, which
-test_words.py pins to the elementary-moves oracle.
+interval's normal form) and global relations (read off one reduction between
+the bases) are two independent code paths that must agree whenever both
+half-spaces separate a common pair of vertices.  The context relations and
+the interval's vertex set are also checked, in both orientations, against a
+hull oracle that uses no poset: the interval's vertices are the ball
+vertices on a geodesic, found by distance sums, and relations come from
+counting quadrants of ``member`` over them.  Over random graphs, the global
+relations and ``member`` are checked against the distance and interval
+formulation in ``helpers.py``.  ``in_a_g_plus`` is checked against its
+definition with a large explicit power.  Distances fall out of normal
+forms, which test_words.py pins to the elementary-moves oracle.
 """
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers as H
 from raagkit import (
     ChainTooShort,
     DefiningGraph,
@@ -326,6 +332,60 @@ def test_context_vs_global_relations(four_gen_graphs):
                     assert nested(h, k, ctx) == nested_globally(h, k)
                     assert tightly_nested(h, k, ctx) == tightly_nested_globally(h, k)
         assert pairs > 50
+
+
+@st.composite
+def _graphs(draw):
+    """A defining graph on 2 to 5 vertices with any edge set."""
+    names = "abcde"[: draw(st.integers(2, 5))]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    return DefiningGraph(list(names), [e for e in pairs if draw(st.booleans())])
+
+
+def test_global_relations_match_interval_oracle():
+    """Global relations and membership against the distance/interval oracles.
+
+    Pairs come in three kinds over random graphs: ``(H, f(H̄))`` as in
+    axiom s3, the walls at adjacent positions of an interval (tight when
+    their letters do not commute), and half-spaces of random edges.  Every
+    pair is checked in both orders and in random orientations.
+    """
+    seen = Counter()
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(graph=_graphs(), seed=st.integers(0, 2**32 - 1))
+    def check(graph, seed):
+        rng = random.Random(seed)
+        letters = [(v, s) for v in graph.vertices for s in (1, -1)]
+
+        def vertex():
+            return Word.from_letters(graph, [rng.choice(letters) for _ in range(rng.randint(0, 5))])
+
+        def edge():
+            return halfspace_of_edge(vertex(), rng.choice(letters))
+
+        def orient(hs):
+            return hs.complement() if rng.random() < 0.5 else hs
+
+        pairs = []
+        for _ in range(4):
+            h = edge()
+            pairs += [(h, act(vertex(), h.complement())), (orient(h), edge())]
+            walls = interval(vertex(), vertex()).halfspaces
+            pairs += [(orient(a), orient(b)) for a, b in zip(walls, walls[1:])]
+        for h, k in pairs:
+            x = vertex()
+            assert member(x, h) == H.member_by_distances(x, h)
+            for a, b in ((h, k), (k, h)):
+                assert hyperplanes_cross(a, b) == H.cross_by_interval(a, b)
+                direction = nested_globally(a, b)
+                assert direction == H.nested_by_probes(a, b)
+                tight = tightly_nested_globally(a, b)
+                assert tight == H.tight_by_interval(a, b)
+                seen.update(pairs=1, nested=direction is not None, tight=tight)
+
+    check()
+    assert seen["tight"] >= 500 and seen["nested"] >= 2000, seen
 
 
 # -- chains -----------------------------------------------------------------
