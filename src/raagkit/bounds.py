@@ -109,50 +109,27 @@ def scl_lower_bound(graph: DefiningGraph, g: Word, mode: str = "exact") -> Bound
     """
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
-    references = tuple(sorted(_REFERENCE_TABLE))
-    if reduce(g).is_identity:
-        return BoundCertificate(
-            graph=graph,
-            element=g,
-            finite=True,
-            bound=Fraction(0),
-            route=ROUTE_ZERO,
-            coloring=None,
-            triangle_free_witness=find_triangle(graph) is None,
-            exactness=True,
-            references=references,
-        )
-    if not is_scl_finite(g):
-        return BoundCertificate(
-            graph=graph,
-            element=g,
-            finite=False,
-            bound=None,
-            route=ROUTE_INFINITE,
-            coloring=None,
-            triangle_free_witness=find_triangle(graph) is None,
-            exactness=True,
-            references=references,
-        )
-    k, coloring, exact = chromatic_number(graph, mode=mode)
-    coloring_bound = Fraction(1, 6 * k)
     triangle_free = find_triangle(graph) is None
-    if triangle_free:
-        bound = max(coloring_bound, TRIANGLE_FREE_BOUND)
-        route = ROUTE_BEST_OF_BOTH
+    coloring, exact = None, True
+    if reduce(g).is_identity:
+        finite, bound, route = True, Fraction(0), ROUTE_ZERO
+    elif not is_scl_finite(g):
+        finite, bound, route = False, None, ROUTE_INFINITE
     else:
-        bound = coloring_bound
-        route = ROUTE_COLORING
+        k, coloring, exact = chromatic_number(graph, mode=mode)
+        finite, bound, route = True, Fraction(1, 6 * k), ROUTE_COLORING
+        if triangle_free:
+            bound, route = max(bound, TRIANGLE_FREE_BOUND), ROUTE_BEST_OF_BOTH
     return BoundCertificate(
         graph=graph,
         element=g,
-        finite=True,
+        finite=finite,
         bound=bound,
         route=route,
         coloring=coloring,
         triangle_free_witness=triangle_free,
         exactness=exact,
-        references=references,
+        references=tuple(sorted(_REFERENCE_TABLE)),
     )
 
 

@@ -23,7 +23,7 @@ from typing import Optional, TextIO
 
 from . import cube
 from .bounds import reference_bounds, scl_lower_bound
-from .complexes import curvature_face, curvature_vertex, euler_characteristic, parse_complex
+from .complexes import euler_characteristic, gauss_bonnet_residual, parse_complex
 from .errors import RaagError
 from .graphs import DefiningGraph, chromatic_number, parse_graph
 from .overlap import DEFAULT_REPS_CAP, verify_key_lemma
@@ -326,11 +326,8 @@ def _cmd_gauss_bonnet(args, out: TextIO) -> int:
     except OSError as exc:
         raise RaagError(f"cannot read complex file {args.complex}: {exc.strerror}")
     chi = euler_characteristic(complex_)
-    curvature = sum(
-        (curvature_vertex(complex_, v) for v in complex_.vertices), start=0
-    ) + sum((curvature_face(complex_, f) for f in complex_.face_order), start=0)
-    # the residual from the sum above: gauss_bonnet_residual would take it again
-    residual = curvature - 2 * chi
+    residual = gauss_bonnet_residual(complex_)
+    curvature = residual + 2 * chi
     print(
         f"vertices: {len(complex_.vertices)} edges: {len(complex_.edges)} "
         f"faces: {len(complex_.faces)} euler characteristic: {chi}",

@@ -341,21 +341,14 @@ def nested(h: HalfSpace, k: HalfSpace, context: Interval) -> Optional[int]:
     return 1 if (i < j) != neg_i else -1
 
 
-def _between(context: Interval, h: HalfSpace, k: HalfSpace) -> list[HalfSpace]:
-    """The context half-spaces strictly between two nested ones.
+def _between(context: Interval, i: int, j: int) -> list[int]:
+    """The heap positions strictly between two comparable positions.
 
-    They sit at the heap positions strictly between the pair's, oriented like
-    the pair.
+    The context walls strictly between two nested ones sit there.
     """
-    i, neg = context.locate(h)
-    j, _ = context.locate(k)
     lo, hi = sorted((i, j))
     down = context._down
-    return [
-        context.halfspaces[r].complement() if neg else context.halfspaces[r]
-        for r in range(lo + 1, hi)
-        if (down[hi] >> r) & 1 and (down[r] >> lo) & 1
-    ]
+    return [r for r in range(lo + 1, hi) if (down[hi] >> r) & 1 and (down[r] >> lo) & 1]
 
 
 def tightly_nested(h: HalfSpace, k: HalfSpace, context: Interval) -> bool:
@@ -365,7 +358,9 @@ def tightly_nested(h: HalfSpace, k: HalfSpace, context: Interval) -> bool:
     also separates the interval's endpoints, so checking context half-spaces
     is exhaustive.
     """
-    return nested(h, k, context) is not None and not _between(context, h, k)
+    if nested(h, k, context) is None:
+        return False
+    return not _between(context, context.locate(h)[0], context.locate(k)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -408,52 +403,37 @@ def midpoint(chain: Chain) -> HalfSpace:
 def _longest_paths(
     context: Interval, outer: HalfSpace, inner: HalfSpace, all_chains: bool
 ) -> list[tuple[HalfSpace, ...]]:
-    """Maximum-length strictly nested sequences from outer to inner."""
-    mids = sorted(_between(context, outer, inner), key=HalfSpace.sort_key)
-    nodes = list(range(len(mids)))
-    # contains[i][j] = True when mids[i] strictly contains mids[j]
-    contains = [
-        [i != j and nested(mids[i], mids[j], context) == 1 for j in nodes]
-        for i in nodes
-    ]
+    """Maximum-length strictly nested sequences from outer to inner, in ``sort_key`` order.
 
-    best_len: dict[Optional[int], int] = {}
-    best_next: dict[Optional[int], list[Optional[int]]] = {}
-
-    def solve(i: Optional[int]) -> int:
-        # longest continuation from node i (None = outer) down to inner
-        if i in best_len:
-            return best_len[i]
-        succs = nodes if i is None else [j for j in nodes if contains[i][j]]
-        best = 0
-        nxt: list[Optional[int]] = [None]  # None terminator = go straight to inner
-        for j in succs:
-            cand = 1 + solve(j)
-            if cand > best:
-                best, nxt = cand, [j]
-            elif cand == best and cand > 0:
-                nxt.append(j)
-        best_len[i] = best
-        best_next[i] = nxt if best > 0 else [None]
-        return best
-
-    solve(None)
-
+    The walls strictly between the pair sit at the heap positions between
+    theirs, oriented like the pair, and two of them nest exactly when their
+    positions are comparable.  One scan from the inner end gives each
+    position its height: the most walls a chain from it down to ``inner``
+    passes, itself included.  The walk steps from ``outer`` to comparable
+    positions one height lower, least half-space first.
+    """
+    i, neg = context.locate(outer)
+    j, _ = context.locate(inner)
+    mids = _between(context, i, j)
+    height: dict[int, int] = {}
+    for r in mids if neg else reversed(mids):
+        height[r] = 1 + max((height[s] for s in height if context._comparable(r, s)), default=0)
+    walls = context.halfspaces
+    oriented = {r: walls[r].complement() if neg else walls[r] for r in mids}
+    order = sorted(mids, key=lambda r: oriented[r].sort_key())
     chains: list[tuple[HalfSpace, ...]] = []
 
-    def walk(i: Optional[int], acc: list[HalfSpace]) -> None:
-        targets = best_next[i]
-        if best_len[i] == 0:
-            chains.append(tuple(acc) + (inner,))
+    def walk(chain: tuple[HalfSpace, ...], r: int, need: int) -> None:
+        if not need:
+            chains.append(chain + (inner,))
             return
-        for j in targets:
-            if j is None:
-                continue
-            walk(j, acc + [mids[j]])
-            if not all_chains and chains:
-                return
+        for s in order:
+            if height[s] == need and context._comparable(r, s):
+                walk(chain + (oriented[s],), s, need - 1)
+                if chains and not all_chains:
+                    return
 
-    walk(None, [outer])
+    walk((outer,), i, max(height.values(), default=0))
     return chains
 
 
@@ -478,11 +458,13 @@ def longest_chain(h: HalfSpace, k: HalfSpace, context: Interval) -> Chain:
 
 
 def all_longest_chains(h: HalfSpace, k: HalfSpace, context: Interval) -> list[Chain]:
-    """Every maximum-length chain from ``h`` down to ``k`` in the context."""
+    """Every maximum-length chain from ``h`` down to ``k`` in the context.
+
+    Chains come in the order of their half-spaces' ``sort_key`` lists.
+    """
     if nested(h, k, context) != 1:
         raise NotNested("all_longest_chains requires the first argument to contain the second")
     paths = _longest_paths(context, h, k, all_chains=True)
-    paths.sort(key=lambda p: [hs.sort_key() for hs in p])
     return [Chain(p, taut=_verify_taut(p, context)) for p in paths]
 
 
@@ -719,7 +701,10 @@ def check_special_axioms(
     (s3) H and f(H̄) are never tightly nested, and
     (s4) when H, K are tightly nested, H never crosses f(K).
     Any hit is recorded as a violation (it would witness an implementation
-    bug, not new mathematics).
+    bug, not new mathematics).  s1 and s2 hold by construction: ``act`` keeps
+    the label and the sign, so f(H̄) has the sign opposite to H, and crossing
+    needs adjacent labels, so H never crosses a wall of its own label.  Both
+    are kept as checks of the representation.
     """
     rng = random.Random(seed)
     pool = ball(graph, radius)
@@ -734,16 +719,17 @@ def check_special_axioms(
         k = halfspace_of_edge(rng.choice(pool), rng.choice(letters))
         f = rng.choice(pool)
 
+        f_h_bar = act(f, h.complement())
         counts["s1"] += 1
-        if act(f, h.complement()) == h:
+        if f_h_bar == h:
             report.violations.append(f"s1: f={f.display()} H={h.display()}")
 
         counts["s2"] += 1
-        if hyperplanes_cross(h, act(f, h)):
+        if hyperplanes_cross(h, f_h_bar.complement()):
             report.violations.append(f"s2: f={f.display()} H={h.display()}")
 
         counts["s3"] += 1
-        if tightly_nested_globally(h, act(f, h.complement())):
+        if tightly_nested_globally(h, f_h_bar):
             report.violations.append(f"s3: f={f.display()} H={h.display()}")
 
         counts["s4"] += 1
@@ -785,7 +771,8 @@ def check_max_chains(
 
     For every nested pair H ⊃ K inside a sampled interval, all longest chains
     from H to K are enumerated; every two of their midpoints must either
-    coincide or cross.
+    coincide or cross.  Oriented toward the end, H ⊃ K exactly when H's heap
+    position lies below K's.
     """
     rng = random.Random(seed)
     pool = ball(graph, radius)
@@ -797,12 +784,13 @@ def check_max_chains(
             continue
         ctx = interval(x, y)
         report.intervals_checked += 1
-        for h in ctx.halfspaces:
-            for k in ctx.halfspaces:
-                if h is k or nested(h, k, ctx) != 1:
+        walls = ctx.halfspaces
+        for i in range(len(walls)):
+            for j in range(i + 1, len(walls)):
+                if not ctx._comparable(i, j):
                     continue
                 report.nested_pairs += 1
-                chains = all_longest_chains(h, k, ctx)
+                chains = all_longest_chains(walls[i], walls[j], ctx)
                 report.chains_enumerated += len(chains)
                 mids = [midpoint(c) for c in chains if c.length >= 1]
                 for a in range(len(mids)):
@@ -874,8 +862,10 @@ def search_prop_noov_violation(
     half-space family and strictly longer than half a period.  For every
     element f of length at most ``radius`` the reversed translate is tested:
     a violation means every half-space of [f*y, f*x] still lies in the
-    attracting family.  None is expected; the identity element is the
-    canonical near-miss (it reverses the segment exactly).
+    attracting family.  Those half-spaces, oriented toward f*x, are the
+    translates f(H̄) of the walls H of [x, y], so only [x, y] is built.  None
+    is expected; the identity element is the canonical near-miss (it
+    reverses the segment exactly).
     """
     _require_cyclically_reduced(g)
     graph = g.graph
@@ -896,17 +886,14 @@ def search_prop_noov_violation(
     for i, j in pairs:
         x = Word(graph, _axis_point(graph, g.codes, i))
         y = Word(graph, _axis_point(graph, g.codes, j))
-        segment = interval(x, y)
-        if not all(in_a_g_plus(g, hs) for hs in segment.halfspaces):
+        walls = interval(x, y).halfspaces
+        if not all(in_a_g_plus(g, hs) for hs in walls):
             report.premise_failures += 1
             continue
         report.pairs_checked += 1
         for f in pool:
             report.triples_checked += 1
-            fy = Word(graph, _reduce_codes(graph, f.codes + y.codes))
-            fx = Word(graph, _reduce_codes(graph, f.codes + x.codes))
-            reversed_segment = interval(fy, fx)
-            if all(in_a_g_plus(g, hs) for hs in reversed_segment.halfspaces):
+            if all(in_a_g_plus(g, act(f, hs.complement())) for hs in walls):
                 report.violations.append(
                     f"f={f.display()} carries [{x.display()}, {y.display()}] "
                     "backwards inside the attracting family"

@@ -82,22 +82,23 @@ def _pair_at(codes: bytes, length: int, mode: str) -> Optional[tuple[int, int]]:
     return None
 
 
-def _raw_max_overlap(codes: bytes, mode: str) -> tuple[int, Optional[tuple[int, int, int]]]:
+def _raw_max_overlap(
+    codes: bytes, mode: str, best: int = 0
+) -> tuple[int, Optional[tuple[int, int, int]]]:
     """Largest inverse-overlap length in one cyclic word, with first witness.
 
     Overlap lengths are downward closed (drop the last letter of ``u`` and
     shift the inverse occurrence by one), so the scan walks lengths upward
-    and stops at the first empty one.
+    from ``best + 1`` and stops at the first empty one; the witness is None
+    when no length above ``best`` occurs.
     """
-    best = 0
     witness: Optional[tuple[int, int, int]] = None
-    length = 1
     while True:
-        hit = _pair_at(codes, length, mode)
+        hit = _pair_at(codes, best + 1, mode)
         if hit is None:
             return best, witness
-        best, witness = length, (length, hit[0], hit[1])
-        length += 1
+        best += 1
+        witness = (best, hit[0], hit[1])
 
 
 @dataclass(frozen=True)
@@ -170,11 +171,9 @@ def _closure_scan(
     while head < len(queue):
         rep = queue[head]
         head += 1
-        hit = _pair_at(rep, best + 1, mode)
-        while hit is not None:
-            best += 1
-            witness = _witness_from(graph, rep, (best, hit[0], hit[1]))
-            hit = _pair_at(rep, best + 1, mode)
+        best, raw = _raw_max_overlap(rep, mode, best)
+        if raw is not None:
+            witness = _witness_from(graph, rep, raw)
         n = len(rep)
         for i in range(n):
             j = (i + 1) % n

@@ -14,6 +14,8 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+from hypothesis import strategies as st
+
 Letter = tuple[str, int]
 WordT = tuple[Letter, ...]
 
@@ -24,6 +26,16 @@ def adj_set(names, edges):
         out[a].add(b)
         out[b].add(a)
     return out
+
+
+@st.composite
+def random_graphs(draw):
+    """A defining graph on 2 to 5 vertices with any edge set."""
+    from raagkit import DefiningGraph
+
+    names = "abcde"[: draw(st.integers(2, 5))]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    return DefiningGraph(list(names), [e for e in pairs if draw(st.booleans())])
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +389,75 @@ def tight_by_interval(h, k) -> bool:
     outer, inner = (h, k) if direction == 1 else (k, h)
     p_out, p_in = _end_on_side(outer, False), _end_on_side(inner, True)
     return tightly_nested(outer, inner, interval(p_out, p_in))
+
+
+# ---------------------------------------------------------------------------
+# chains and the no-overlap search without the heap
+# ---------------------------------------------------------------------------
+#
+# Longest chains by enumerating every strictly nested run of an interval's
+# walls, nesting decided by ``nested_by_probes``; the no-overlap search by
+# building the interval [f*y, f*x] for every element f, as the package once
+# did.  The ball of elements and the attracting-end test are the package's.
+
+
+def longest_runs_by_probes(context) -> dict:
+    """``{(h, k): runs}`` for every nested pair ``h ⊃ k`` of context walls.
+
+    Walls enter in both orientations.  ``runs`` lists the longest strictly
+    nested sequences ``h ⊃ ... ⊃ k`` of context walls, in ``sort_key`` order.
+    """
+    pool = [s for wall in context.halfspaces for s in (wall, wall.complement())]
+    inside = {a: {b for b in pool if nested_by_probes(a, b) == 1} for a in pool}
+    out = {}
+    for h in pool:
+        for k in inside[h]:
+            runs, stack = [], [(h,)]
+            while stack:
+                run = stack.pop()
+                runs.append(run + (k,))
+                stack += [run + (s,) for s in inside[run[-1]] if k in inside[s]]
+            longest = max(map(len, runs))
+            out[h, k] = sorted(
+                (r for r in runs if len(r) == longest), key=lambda r: [s.sort_key() for s in r]
+            )
+    return out
+
+
+def noov_search_by_intervals(g, radius: int):
+    """``search_prop_noov_violation`` over every axis pair, one interval per element.
+
+    Returns ``(pairs_checked, premise_failures, triples_checked, violations)``.
+    """
+    from raagkit import Word, ball, in_a_g_plus, interval, normal_form, power
+
+    period = len(g.codes)
+
+    def axis(offset):
+        q, r = divmod(offset, period)
+        return normal_form(power(g, q) * Word(g.graph, g.codes[:r]))
+
+    pool = ball(g.graph, radius)
+    pairs = premise = triples = 0
+    violations = []
+    offsets = range(-2 * period, 2 * period + 1)
+    for i in offsets:
+        for j in offsets:
+            if j <= i or 2 * (j - i) <= period:
+                continue
+            x, y = axis(i), axis(j)
+            if not all(in_a_g_plus(g, hs) for hs in interval(x, y)):
+                premise += 1
+                continue
+            pairs += 1
+            for f in pool:
+                triples += 1
+                if all(in_a_g_plus(g, hs) for hs in interval(f * y, f * x)):
+                    violations.append(
+                        f"f={f.display()} carries [{x.display()}, {y.display()}] "
+                        "backwards inside the attracting family"
+                    )
+    return pairs, premise, triples, violations
 
 
 # ---------------------------------------------------------------------------

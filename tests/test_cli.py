@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -283,10 +284,14 @@ def test_numeric_flags_below_minimum(free2_file, monkeypatch, argv, flag):
 
 
 def test_console_script_installed(p3_file):
+    # the child imports the package from where this process imported it
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "raagkit.cli", "nf", p3_file, "ba"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "ab\n"

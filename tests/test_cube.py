@@ -9,9 +9,11 @@ hull oracle that uses no poset: the interval's vertices are the ball
 vertices on a geodesic, found by distance sums, and relations come from
 counting quadrants of ``member`` over them.  Over random graphs, the global
 relations and ``member`` are checked against the distance and interval
-formulation in ``helpers.py``.  ``in_a_g_plus`` is checked against its
-definition with a large explicit power.  Distances fall out of normal
-forms, which test_words.py pins to the elementary-moves oracle.
+formulation in ``helpers.py``, longest chains against an enumeration of
+nested runs, and the no-overlap search against one interval per element.
+``in_a_g_plus`` is checked against its definition with a large explicit
+power.  Distances fall out of normal forms, which test_words.py pins to the
+elementary-moves oracle.
 """
 
 import random
@@ -35,6 +37,7 @@ from raagkit import (
     check_max_chains,
     check_special_axioms,
     crosses,
+    cyclically_reduce,
     halfspace_of_edge,
     hyperplanes_cross,
     in_a_g_plus,
@@ -47,6 +50,7 @@ from raagkit import (
     nested_globally,
     normal_form,
     power,
+    search_prop_noov_violation,
     tightly_nested,
     tightly_nested_globally,
     words,
@@ -334,14 +338,6 @@ def test_context_vs_global_relations(four_gen_graphs):
         assert pairs > 50
 
 
-@st.composite
-def _graphs(draw):
-    """A defining graph on 2 to 5 vertices with any edge set."""
-    names = "abcde"[: draw(st.integers(2, 5))]
-    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
-    return DefiningGraph(list(names), [e for e in pairs if draw(st.booleans())])
-
-
 def test_global_relations_match_interval_oracle():
     """Global relations and membership against the distance/interval oracles.
 
@@ -353,7 +349,7 @@ def test_global_relations_match_interval_oracle():
     seen = Counter()
 
     @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(graph=_graphs(), seed=st.integers(0, 2**32 - 1))
+    @given(graph=H.random_graphs(), seed=st.integers(0, 2**32 - 1))
     def check(graph, seed):
         rng = random.Random(seed)
         letters = [(v, s) for v in graph.vertices for s in (1, -1)]
@@ -435,6 +431,35 @@ def test_all_longest_chains_enumerates():
         for a, b in zip(c.halfspaces, c.halfspaces[1:]):
             assert nested(a, b, ctx) == 1
     assert crosses(chains[0].halfspaces[1], chains[1].halfspaces[1], ctx)
+
+
+def test_longest_chains_match_run_enumeration():
+    """Longest chains against every strictly nested run of the interval's walls.
+
+    For each nested pair of a random interval, in both orientations, the
+    oracle enumerates runs with ``nested_by_probes`` and keeps the longest.
+    """
+    seen = Counter()
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(graph=H.random_graphs(), seed=st.integers(0, 2**32 - 1))
+    def check(graph, seed):
+        rng = random.Random(seed)
+        letters = [(v, s) for v in graph.vertices for s in (1, -1)]
+
+        def vertex():
+            return Word.from_letters(graph, [rng.choice(letters) for _ in range(rng.randint(0, 6))])
+
+        ctx = interval(vertex(), vertex())
+        for (h, k), runs in H.longest_runs_by_probes(ctx).items():
+            chains = all_longest_chains(h, k, ctx)
+            assert [c.halfspaces for c in chains] == runs
+            assert all(c.taut for c in chains)
+            assert longest_chain(h, k, ctx) == chains[0]
+            seen.update(pairs=1, several=len(chains) > 1, interior=chains[0].length > 0)
+
+    check()
+    assert seen["several"] >= 40 and seen["interior"] >= 1000, seen
 
 
 def test_chain_dataclass_length():
@@ -579,3 +604,44 @@ def test_check_max_chains_small(p3):
     assert d["violations"] == []
     assert d["samples"] == 25
     assert 0 < d["intervals_checked"] <= 25  # coincident endpoints are skipped
+
+
+# -- translated segments ----------------------------------------------------
+
+
+def test_translated_segment_walls():
+    """The walls of [f·y, f·x] are the translates f(H̄) of the walls of [x, y].
+
+    The no-overlap search builds one interval per axis segment on this
+    identity; the search itself is checked against the formulation in
+    ``helpers.py`` that builds [f·y, f·x] for every element f.
+    """
+    seen = Counter()
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(graph=H.random_graphs(), seed=st.integers(0, 2**32 - 1))
+    def check(graph, seed):
+        rng = random.Random(seed)
+        letters = [(v, s) for v in graph.vertices for s in (1, -1)]
+
+        def word(lo, hi):
+            letters_drawn = [rng.choice(letters) for _ in range(rng.randint(lo, hi))]
+            return Word.from_letters(graph, letters_drawn)
+
+        x, y, f = word(0, 5), word(0, 5), word(0, 4)
+        walls = {act(f, hs.complement()) for hs in interval(x, y)}
+        assert walls == set(interval(f * y, f * x).halfspaces)
+        g = cyclically_reduce(word(1, 3)).core
+        if g.is_identity:
+            return
+        report = search_prop_noov_violation(g, radius=1, samples=10**6)
+        assert (
+            report.pairs_checked,
+            report.premise_failures,
+            report.triples_checked,
+            report.violations,
+        ) == H.noov_search_by_intervals(g, radius=1)
+        seen.update(searches=1, triples=report.triples_checked)
+
+    check()
+    assert seen["searches"] >= 30, seen

@@ -193,20 +193,38 @@ _suite_words = st.sampled_from(sorted(_SUITE_LETTERS)).flatmap(
     )
 )
 
+# shorter words: a random graph may be complete, and then the closure of a
+# power is every shuffle of it
+_random_graph_words = H.random_graphs().flatmap(
+    lambda graph: st.tuples(
+        st.just(graph),
+        st.text("".join(graph.vertices) + "".join(graph.vertices).upper(), min_size=1, max_size=4),
+    )
+)
 
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(case=_suite_words, n=st.sampled_from((1, 2)), mode=st.sampled_from(("disjoint", "any")))
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    case=st.one_of(_suite_words, _random_graph_words),
+    n=st.sampled_from((1, 2)),
+    mode=st.sampled_from(("disjoint", "any")),
+)
 # in c5 the only commuting pair of aceb is the wrap-around one (b, a)
 @example(case=("c5", "aceb"), n=1, mode="disjoint")
 def test_closure_classes_match_brute_force(suite_graphs, case, n, mode):
     """Maxima, class counts and witnesses against the brute-force closure.
 
-    The package walks rotation classes with swaps of cyclically adjacent
-    letters; the oracle walks every word with rotations and inner swaps.
+    Words come from the suite graphs (``case`` names one) and from random
+    graphs.  The package walks rotation classes with swaps of cyclically
+    adjacent letters; the oracle walks every word with rotations and inner
+    swaps.
     """
-    name, text = case
-    graph = suite_graphs[name]
-    assert graph.vertices == tuple(_SUITE_LETTERS[name])
+    source, text = case
+    if isinstance(source, str):
+        graph = suite_graphs[source]
+        assert graph.vertices == tuple(_SUITE_LETTERS[source])
+    else:
+        graph = source
     core = cyclically_reduce(w(graph, text)).core
     assume(not core.is_identity)
     r = verify_key_lemma(core, n_max=n, mode=mode)[-1]
