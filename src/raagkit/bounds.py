@@ -47,7 +47,11 @@ def is_scl_finite(g: Word) -> bool:
     The abelianization is free abelian, so this happens exactly when the
     exponent vector of the reduced word vanishes.
     """
-    return all(v == 0 for v in exponent_vector(reduce(g)).values())
+    return _exponents_vanish(reduce(g))
+
+
+def _exponents_vanish(reduced: Word) -> bool:
+    return all(v == 0 for v in exponent_vector(reduced).values())
 
 
 @dataclass(frozen=True)
@@ -111,9 +115,10 @@ def scl_lower_bound(graph: DefiningGraph, g: Word, mode: str = "exact") -> Bound
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
     triangle_free = find_triangle(graph) is None
     coloring, exact = None, True
-    if reduce(g).is_identity:
+    reduced = reduce(g)
+    if reduced.is_identity:
         finite, bound, route = True, Fraction(0), ROUTE_ZERO
-    elif not is_scl_finite(g):
+    elif not _exponents_vanish(reduced):
         finite, bound, route = False, None, ROUTE_INFINITE
     else:
         k, coloring, exact = chromatic_number(graph, mode=mode)
@@ -141,8 +146,9 @@ def verify_certificate(cert: BoundCertificate) -> bool:
     arithmetic for the claimed route.
     """
     graph = cert.graph
-    finite = is_scl_finite(cert.element)
-    trivial = reduce(cert.element).is_identity
+    reduced = reduce(cert.element)
+    trivial = reduced.is_identity
+    finite = _exponents_vanish(reduced)
     triangle_free = find_triangle(graph) is None
     if cert.triangle_free_witness != triangle_free:
         return False

@@ -7,7 +7,11 @@ order used by normal forms and every deterministic tie-break downstream.
 
 The module also computes chromatic numbers (exact up to 24 vertices, DSATUR
 heuristic beyond) and finds triangles, both of which feed the lower-bound
-certificates in :mod:`raagkit.bounds`.
+certificates in :mod:`raagkit.bounds`.  The exact search is a backtracking
+search in a fixed vertex and color order with forward checking: a branch is
+cut only when some uncolored vertex has no color left, so it has no
+solution.  Cutting it changes neither the first coloring found nor an empty
+search, which is the proof that no coloring with fewer colors exists.
 """
 
 from __future__ import annotations
@@ -311,30 +315,55 @@ def _try_color(graph: DefiningGraph, k: int, clique: list[int]) -> Optional[dict
 
     The clique is pre-colored with distinct colors, and a fresh color may be
     opened only one past the largest color used so far; both are standard
-    symmetry breaks that do not lose solutions.
+    symmetry breaks that do not lose solutions.  The other vertices are
+    colored in ``_order_by_degree`` order, lowest color first.
+
+    Each vertex keeps a bitmask of the colors its colored neighbours forbid.
+    Coloring a vertex forbids its color on the uncolored neighbours that did
+    not forbid it yet, and backtracking clears it on exactly those.  A branch
+    is cut as soon as one of them has all k colors forbidden (forward
+    checking): no completion of it exists, so the search still reaches the
+    surviving nodes in the same order, finds the same first coloring, and
+    comes back empty exactly when no proper k-coloring exists.
     """
     if len(clique) > k:
         return None
-    n = len(graph.vertices)
+    adj = graph._adj
+    full = (1 << k) - 1
+    forbid = [0] * len(graph.vertices)
     color: dict[int, int] = {}
     for idx, v in enumerate(clique):
         color[v] = idx
+        for u in adj[v]:
+            forbid[u] |= 1 << idx
     rest = [v for v in _order_by_degree(graph) if v not in color]
-
-    def feasible(v: int, c: int) -> bool:
-        return all(color.get(u) != c for u in graph._adj[v])
+    if any(forbid[v] == full for v in rest):
+        return None
+    # the uncolored neighbours of rest[pos] when it is colored are those later in rest
+    pos_of = {v: pos for pos, v in enumerate(rest)}
+    later = [[u for u in adj[v] if pos_of.get(u, -1) > pos] for pos, v in enumerate(rest)]
 
     def assign(pos: int, used: int) -> bool:
         if pos == len(rest):
             return True
         v = rest[pos]
-        limit = min(k, used + 1)
-        for c in range(limit):
-            if feasible(v, c):
+        free = ~forbid[v] & ((1 << min(k, used + 1)) - 1)
+        while free:
+            bit = free & -free
+            free ^= bit
+            newly = [u for u in later[pos] if not forbid[u] & bit]
+            wiped = False
+            for u in newly:
+                forbid[u] |= bit
+                wiped = wiped or forbid[u] == full
+            if not wiped:
+                c = bit.bit_length() - 1
                 color[v] = c
                 if assign(pos + 1, max(used, c + 1)):
                     return True
                 del color[v]
+            for u in newly:
+                forbid[u] ^= bit
         return False
 
     if assign(0, len(clique)):
@@ -362,7 +391,7 @@ def chromatic_number(
     if n > EXACT_CHROMATIC_CAP:
         raise TooLargeForExact(
             f"{n} vertices exceeds the exact-mode cap of {EXACT_CHROMATIC_CAP}; "
-            "use mode='heuristic'"
+            "use mode='heuristic' (--heuristic on the command line)"
         )
     if n == 0:
         return 0, ub, True

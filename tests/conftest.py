@@ -69,23 +69,40 @@ def k3_pendant():
     )
 
 
+def _mycielskian(names, edges, shadow, apex):
+    """One shadow per vertex, joined to that vertex's neighbours, plus an apex
+    joined to every shadow.
+
+    Mycielski (1955): the result has no triangle when the graph has none, and
+    its chromatic number is one more.  n vertices and m edges become 2n + 1
+    vertices and 3m + n edges.
+    """
+    out = list(edges)
+    for a, b in edges:
+        out += [(shadow(a), b), (shadow(b), a)]
+    out += [(shadow(v), apex) for v in names]
+    return names + [shadow(v) for v in names] + [apex], out
+
+
 def _grotzsch_edges():
     # Mycielskian of C5: cycle v0..v4, shadow u0..u4, apex z.
     cycle = [f"v{i}" for i in range(5)]
-    shadow = [f"u{i}" for i in range(5)]
-    edges = []
-    for i in range(5):
-        edges.append((cycle[i], cycle[(i + 1) % 5]))
-        edges.append((shadow[i], cycle[(i + 1) % 5]))
-        edges.append((shadow[i], cycle[(i - 1) % 5]))
-        edges.append((shadow[i], "z"))
-    return cycle + shadow + ["z"], edges
+    ring = [(cycle[i], cycle[(i + 1) % 5]) for i in range(5)]
+    return _mycielskian(cycle, ring, lambda v: "u" + v[1:], "z")
 
 
 @pytest.fixture(scope="session")
 def grotzsch():
     """Smallest triangle-free graph with chromatic number 4."""
     names, edges = _grotzsch_edges()
+    return DefiningGraph(names, edges)
+
+
+@pytest.fixture(scope="session")
+def m5():
+    """Mycielskian of the Grötzsch graph: triangle-free, chromatic number 5,
+    23 vertices and 71 edges (shadows s<v>, apex w)."""
+    names, edges = _mycielskian(*_grotzsch_edges(), lambda v: "s" + v, "w")
     return DefiningGraph(names, edges)
 
 

@@ -238,6 +238,63 @@ def proper_coloring_exists(names, edges, k: int) -> bool:
     return place(0)
 
 
+def try_color_static(graph, k: int, clique: list[int]):
+    """The exact coloring search before forward checking, kept as an oracle.
+
+    It checks each color against the colored neighbours and cuts nothing
+    else.  Reuses the package's graph and vertex order on purpose: it must
+    walk the same search tree as ``raagkit.graphs._try_color``.
+    """
+    from raagkit.graphs import _order_by_degree
+
+    if len(clique) > k:
+        return None
+    n = len(graph.vertices)
+    color: dict[int, int] = {}
+    for idx, v in enumerate(clique):
+        color[v] = idx
+    rest = [v for v in _order_by_degree(graph) if v not in color]
+
+    def feasible(v: int, c: int) -> bool:
+        return all(color.get(u) != c for u in graph._adj[v])
+
+    def assign(pos: int, used: int) -> bool:
+        if pos == len(rest):
+            return True
+        v = rest[pos]
+        limit = min(k, used + 1)
+        for c in range(limit):
+            if feasible(v, c):
+                color[v] = c
+                if assign(pos + 1, max(used, c + 1)):
+                    return True
+                del color[v]
+        return False
+
+    if assign(0, len(clique)):
+        return dict(color)
+    return None
+
+
+def chromatic_by_static_search(graph):
+    """``chromatic_number``'s DSATUR/clique frame driven by ``try_color_static``.
+
+    Returns ``(k, assignment, exact, by_search)``; ``by_search`` is True when
+    the search, not DSATUR, supplied the coloring.
+    """
+    from raagkit.graphs import _dsatur, _greedy_clique
+
+    ub = _dsatur(graph)
+    if not graph.vertices:
+        return 0, ub.assignment, True, False
+    clique = _greedy_clique(graph)
+    for k in range(len(clique), ub.num_colors):
+        found = try_color_static(graph, k, clique)
+        if found is not None:
+            return k, {graph.vertices[i]: c for i, c in found.items()}, True, True
+    return ub.num_colors, ub.assignment, True, False
+
+
 # ---------------------------------------------------------------------------
 # hyperplane oracle: square crawling with union-find
 # ---------------------------------------------------------------------------

@@ -67,6 +67,16 @@ def test_triangle_free_floor(grotzsch):
     assert verify_certificate(cert)
 
 
+def test_m5_certificate(m5):
+    # triangle-free with chromatic number 5 (Mycielski): the coloring bound
+    # 1/30 loses to the triangle-free 1/20
+    cert = scl_lower_bound(m5, w(m5, "v0 sv2 v0^-1 sv2^-1"))
+    assert cert.route == ROUTE_BEST_OF_BOTH
+    assert (cert.coloring.num_colors, cert.exactness) == (5, True)
+    assert cert.bound == TRIANGLE_FREE_BOUND == Fraction(1, 20)
+    assert verify_certificate(cert)
+
+
 def test_infinite_case(edgeless2):
     cert = scl_lower_bound(edgeless2, w(edgeless2, "aab"))
     assert not cert.finite

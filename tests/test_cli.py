@@ -64,6 +64,29 @@ def test_chromatic(p3_file):
     assert "a=" in out
 
 
+def test_chromatic_m5(m5, tmp_path):
+    path = tmp_path / "m5.graph"
+    edges = " ".join(f"{a}-{b}" for a, b in sorted(m5.edges))
+    path.write_text(f"vertices: {' '.join(m5.vertices)}\nedges: {edges}\n")
+    code, out, _ = run(["chromatic", str(path)])
+    assert code == 0
+    assert out.startswith("chromatic number: 5 (exact)\n")
+
+
+def test_exact_cap_names_the_heuristic_flag(tmp_path):
+    # 25 vertices, one past the exact-mode cap; a-b commute, a-c do not
+    path = tmp_path / "big.graph"
+    names = ["a", "b", "c"] + [f"v{i}" for i in range(22)]
+    path.write_text(f"vertices: {' '.join(names)}\nedges: a-b\n")
+    for argv in (["chromatic", str(path)], ["scl-bound", str(path), "acAC"]):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        # the usage line below always lists the flag; the message must name it
+        message = err.splitlines()[0]
+        assert message.startswith("error: 25 vertices exceeds the exact-mode cap of 24")
+        assert "--heuristic" in message
+
+
 def test_scl_bound_text(p3_file):
     code, out, _ = run(["scl-bound", p3_file, "acAC"])
     assert code == 0

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers as H
 from raagkit import (
@@ -14,6 +16,7 @@ from raagkit import (
     find_triangle,
     parse_graph,
 )
+from raagkit.graphs import _dsatur, _greedy_clique, _try_color
 
 
 def test_basic_accessors(p3):
@@ -122,6 +125,54 @@ def test_chromatic_vs_backtracking_oracle():
         assert H.proper_coloring_exists(names, edges, k)
         if k > 1:
             assert not H.proper_coloring_exists(names, edges, k - 1)
+
+
+def test_coloring_search_matches_static_search():
+    # forward checking only cuts branches with no solution, so the first
+    # coloring found and every empty search are those of the plain search.
+    # DSATUR is optimal on most small graphs: about one graph in sixty, most
+    # of them on 12 or more vertices, needs the search to find its coloring.
+    by_search = set()
+
+    @settings(max_examples=2000, derandomize=True, deadline=None)
+    @given(
+        n=st.sampled_from(range(1, 17)),
+        density=st.sampled_from([0.3, 0.45, 0.6, 0.75]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(n, density, seed):
+        rng = random.Random(seed)
+        names = [f"v{i}" for i in range(n)]
+        edges = [
+            (names[i], names[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < density
+        ]
+        g = DefiningGraph(names, edges)
+        k, coloring, exact = chromatic_number(g)
+        want_k, want_assignment, want_exact, searched = H.chromatic_by_static_search(g)
+        assert (k, coloring.assignment, exact) == (want_k, want_assignment, want_exact)
+        assert coloring.is_proper(g) and coloring.num_colors == k
+        if searched:
+            by_search.add(g)
+        if n <= 9:
+            assert H.proper_coloring_exists(names, edges, k)
+            assert k == 1 or not H.proper_coloring_exists(names, edges, k - 1)
+
+    check()
+    assert len(by_search) >= 30
+
+
+def test_m5_chromatic(m5):
+    # Mycielski's theorem: chi(M5) = chi(Grötzsch) + 1 = chi(C5) + 2 = 5
+    assert (len(m5.vertices), len(m5.edges)) == (23, 71)
+    k, coloring, exact = chromatic_number(m5)
+    assert (k, exact) == (5, True)
+    assert coloring.is_proper(m5) and coloring.num_colors == 5
+    assert coloring == _dsatur(m5)
+    assert _try_color(m5, 4, _greedy_clique(m5)) is None
+    assert find_triangle(m5) is None
 
 
 def test_chromatic_heuristic_flagged(c5):
