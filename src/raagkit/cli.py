@@ -7,17 +7,14 @@ Exit codes: 0 success, 1 a verified property actually failed (a violated
 bound, axiom, or nonzero residual), 2 usage or input errors.
 
 ``verify-overlap`` walks the rotation/swap closure of each power's core one
-rotation class at a time: its ``reps=`` counts and its cap count rotation
-classes.  The environment variable ``RAAG_KIT_CAPS`` (for example
-``reps=500000``) overrides the default cap; an explicit ``--reps-cap`` takes
-precedence over it.  ``reps`` is its only key.
+rotation class at a time: its ``reps=`` counts and its ``--reps-cap`` count
+rotation classes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional, TextIO
 
@@ -31,36 +28,18 @@ from .words import Word, cyclically_reduce, equal, normal_form
 
 DEFAULT_SEED = 0x5C1
 
-# Least accepted value of each numeric flag, keyed by argparse destination.
-_FLAG_MINIMUMS = {"n_max": 1, "reps_cap": 1, "radius": 0, "samples": 0}
 
+def _at_least(least: int):
+    """An argparse ``type`` for integer flags with a least accepted value."""
 
-def _read_caps_env() -> dict[str, int]:
-    raw = os.environ.get("RAAG_KIT_CAPS", "")
-    caps: dict[str, int] = {}
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, _, value = part.partition("=")
-        key = key.strip()
-        if key != "reps":
-            raise RaagError(f"RAAG_KIT_CAPS key {key!r} is unknown; the only key is 'reps'")
-        try:
-            caps[key] = int(value)
-        except ValueError:
-            raise RaagError(f"RAAG_KIT_CAPS entry {part!r} is not name=integer")
-        if caps[key] < 1:
-            raise RaagError(f"RAAG_KIT_CAPS key {key!r} must be at least 1")
-    return caps
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
 
-
-def _check_flags(args) -> None:
-    for dest, least in _FLAG_MINIMUMS.items():
-        value = getattr(args, dest, None)
-        if value is not None and value < least:
-            flag = "--" + dest.replace("_", "-")
-            raise RaagError(f"{flag} must be at least {least}, got {value}")
+    convert.__name__ = "int"  # argparse names the type in "invalid int value"
+    return convert
 
 
 def _load_graph(path: str) -> DefiningGraph:
@@ -140,8 +119,8 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("graph")
     p.add_argument("word")
-    p.add_argument("--n-max", type=int, default=4)
-    p.add_argument("--reps-cap", type=int, default=None)
+    p.add_argument("--n-max", type=_at_least(1), default=4)
+    p.add_argument("--reps-cap", type=_at_least(1), default=DEFAULT_REPS_CAP)
     p.add_argument("--mode", choices=("disjoint", "any"), default="disjoint")
     p.add_argument("--json", action="store_true")
 
@@ -165,16 +144,16 @@ def _build_parser() -> _Parser:
         cube_sub, "axioms", _cmd_cube_axioms, "randomized search for forbidden configurations"
     )
     q.add_argument("graph")
-    q.add_argument("--radius", type=int, default=3)
-    q.add_argument("--samples", type=int, default=1000)
+    q.add_argument("--radius", type=_at_least(0), default=3)
+    q.add_argument("--samples", type=_at_least(0), default=1000)
     q.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     q = _add_command(
         cube_sub, "chains", _cmd_cube_chains, "longest-chain midpoint property over samples"
     )
     q.add_argument("graph")
-    q.add_argument("--radius", type=int, default=3)
-    q.add_argument("--samples", type=int, default=200)
+    q.add_argument("--radius", type=_at_least(0), default=3)
+    q.add_argument("--samples", type=_at_least(0), default=200)
     q.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = _add_command(
@@ -352,11 +331,6 @@ def run(argv: list[str], out: Optional[TextIO] = None, err: Optional[TextIO] = N
         (out if exc.status == 0 else err).write(exc.text)
         return exc.status
     try:
-        caps = _read_caps_env()
-        _check_flags(args)
-        # RAAG_KIT_CAPS supplies the default of --reps-cap
-        if "reps_cap" in args and args.reps_cap is None:
-            args.reps_cap = caps.get("reps", DEFAULT_REPS_CAP)
         return args.func(args, out)
     except RaagError as exc:
         print(f"error: {exc}", file=err)

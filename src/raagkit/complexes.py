@@ -39,6 +39,11 @@ def _parse_angle(raw: object) -> Fraction:
     raise InconsistentComplex(f"angle {raw!r} is not a rational")
 
 
+def _require_id(kind: str, raw: object) -> None:
+    if isinstance(raw, bool) or not isinstance(raw, (str, int)):
+        raise InconsistentComplex(f"{kind} id {raw!r} must be a string or an integer")
+
+
 def _angle_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
@@ -64,6 +69,8 @@ class AngledComplex:
         edges: list[tuple[int, tuple[VertexId, VertexId]]],
         faces: list[tuple[VertexId, list[int], list[Fraction]]],
     ):
+        for v in vertices:
+            _require_id("vertex", v)
         if len(set(vertices)) != len(vertices):
             raise InconsistentComplex("duplicate vertex id")
         self.vertices: tuple[VertexId, ...] = tuple(vertices)
@@ -78,6 +85,8 @@ class AngledComplex:
                 )
             if eid in self.edges:
                 raise InconsistentComplex(f"duplicate edge id {eid}")
+            for v in ends:
+                _require_id(f"edge {eid} endpoint", v)
             if len(ends) != 2 or ends[0] not in vertex_set or ends[1] not in vertex_set:
                 raise InconsistentComplex(f"edge {eid} has unknown endpoint in {ends!r}")
             self.edges[eid] = (ends[0], ends[1])
@@ -85,6 +94,7 @@ class AngledComplex:
         self.face_order: tuple[VertexId, ...] = tuple(f for f, _, _ in faces)
         self.faces: dict[VertexId, tuple[tuple[int, ...], tuple[Fraction, ...]]] = {}
         for fid, boundary, angles in faces:
+            _require_id("face", fid)
             if fid in self.faces:
                 raise InconsistentComplex(f"duplicate face id {fid!r}")
             if not boundary:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import ceil
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import (
     ChainTooShort,
@@ -232,17 +232,16 @@ class Interval:
     the distance between the endpoints.  ``_down[j]`` is the bitmask of the
     positions strictly below position ``j`` in the heap of that normal form.
     The vertex set of the interval (all vertices on geodesics) is enumerated
-    only on request, and capped.
+    only on request, and capped at ``DEFAULT_HULL_CAP``.
     """
 
-    def __init__(self, start: Word, end: Word, hull_cap: Optional[int] = None):
+    def __init__(self, start: Word, end: Word):
         if start.graph != end.graph:
             raise GraphMismatch("interval endpoints live over different graphs")
         graph = start.graph
         self.graph = graph
         self.start = normal_form(start)
         self.end = normal_form(end)
-        self.hull_cap = DEFAULT_HULL_CAP if hull_cap is None else hull_cap
 
         self._word = _nf_of(graph, _inv_codes(self.start.codes) + self.end.codes)
         self._down = _heap_down(graph, self._word)
@@ -304,15 +303,15 @@ class Interval:
                     w = _nf_of(graph, v + bytes([c]))
                     hull.append(w)
                     nxt.append((child, w))
-                    if len(hull) > self.hull_cap:
-                        raise HullTooLarge(f"interval vertex set exceeds cap {self.hull_cap}")
+                    if len(hull) > DEFAULT_HULL_CAP:
+                        raise HullTooLarge(f"interval vertex set exceeds cap {DEFAULT_HULL_CAP}")
             frontier = nxt
         return [Word(graph, v) for v in hull]
 
 
-def interval(x: Word, y: Word, hull_cap: Optional[int] = None) -> Interval:
+def interval(x: Word, y: Word) -> Interval:
     """The interval from ``x`` to ``y``: half-spaces oriented toward ``y``."""
-    return Interval(x, y, hull_cap=hull_cap)
+    return Interval(x, y)
 
 
 def crosses(h: HalfSpace, k: HalfSpace, context: Interval) -> bool:
@@ -402,15 +401,16 @@ def midpoint(chain: Chain) -> HalfSpace:
 
 def _longest_paths(
     context: Interval, outer: HalfSpace, inner: HalfSpace, all_chains: bool
-) -> list[tuple[HalfSpace, ...]]:
-    """Maximum-length strictly nested sequences from outer to inner, in ``sort_key`` order.
+) -> list[Chain]:
+    """Maximum-length strictly nested chains from outer to inner, in ``sort_key`` order.
 
     The walls strictly between the pair sit at the heap positions between
     theirs, oriented like the pair, and two of them nest exactly when their
     positions are comparable.  One scan from the inner end gives each
     position its height: the most walls a chain from it down to ``inner``
     passes, itself included.  The walk steps from ``outer`` to comparable
-    positions one height lower, least half-space first.
+    positions one height lower, least half-space first.  A chain is taut when
+    no position lies strictly between two consecutive ones of its walk.
     """
     i, neg = context.locate(outer)
     j, _ = context.locate(inner)
@@ -421,27 +421,23 @@ def _longest_paths(
     walls = context.halfspaces
     oriented = {r: walls[r].complement() if neg else walls[r] for r in mids}
     order = sorted(mids, key=lambda r: oriented[r].sort_key())
-    chains: list[tuple[HalfSpace, ...]] = []
+    chains: list[Chain] = []
 
-    def walk(chain: tuple[HalfSpace, ...], r: int, need: int) -> None:
+    def walk(path: tuple[int, ...], need: int) -> None:
         if not need:
-            chains.append(chain + (inner,))
+            path += (j,)
+            taut = all(not _between(context, p, q) for p, q in zip(path, path[1:]))
+            inside = tuple(oriented[r] for r in path[1:-1])
+            chains.append(Chain((outer, *inside, inner), taut=taut))
             return
         for s in order:
-            if height[s] == need and context._comparable(r, s):
-                walk(chain + (oriented[s],), s, need - 1)
+            if height[s] == need and context._comparable(path[-1], s):
+                walk(path + (s,), need - 1)
                 if chains and not all_chains:
                     return
 
-    walk((outer,), i, max(height.values(), default=0))
+    walk((i,), max(height.values(), default=0))
     return chains
-
-
-def _verify_taut(chain_halfspaces: Sequence[HalfSpace], context: Interval) -> bool:
-    return all(
-        tightly_nested(chain_halfspaces[i], chain_halfspaces[i + 1], context)
-        for i in range(len(chain_halfspaces) - 1)
-    )
 
 
 def longest_chain(h: HalfSpace, k: HalfSpace, context: Interval) -> Chain:
@@ -453,8 +449,7 @@ def longest_chain(h: HalfSpace, k: HalfSpace, context: Interval) -> Chain:
     """
     if nested(h, k, context) != 1:
         raise NotNested("longest_chain requires the first argument to contain the second")
-    path = _longest_paths(context, h, k, all_chains=False)[0]
-    return Chain(path, taut=_verify_taut(path, context))
+    return _longest_paths(context, h, k, all_chains=False)[0]
 
 
 def all_longest_chains(h: HalfSpace, k: HalfSpace, context: Interval) -> list[Chain]:
@@ -464,8 +459,7 @@ def all_longest_chains(h: HalfSpace, k: HalfSpace, context: Interval) -> list[Ch
     """
     if nested(h, k, context) != 1:
         raise NotNested("all_longest_chains requires the first argument to contain the second")
-    paths = _longest_paths(context, h, k, all_chains=True)
-    return [Chain(p, taut=_verify_taut(p, context)) for p in paths]
+    return _longest_paths(context, h, k, all_chains=True)
 
 
 # ---------------------------------------------------------------------------
@@ -840,16 +834,9 @@ class NoOverlapSearchReport:
 
 def _axis_point(graph: DefiningGraph, g_codes: bytes, offset: int) -> bytes:
     """Normal form of the axis vertex ``offset`` letters from the basepoint."""
-    span = len(g_codes) * 2
-    doubled = g_codes * 2
-    if offset >= 0:
-        q, r = divmod(offset, span)
-        path = doubled * q + doubled[:r]
-    else:
-        # the backwards path spells the inverse of (suffix + full blocks)
-        q, r = divmod(-offset, span)
-        path = _inv_codes(doubled) * q + (_inv_codes(doubled[span - r :]) if r else b"")
-    return _nf_of(graph, path)
+    step = g_codes if offset >= 0 else _inv_codes(g_codes)
+    n = abs(offset)
+    return _nf_of(graph, (step * (n // len(step) + 1))[:n])
 
 
 def search_prop_noov_violation(

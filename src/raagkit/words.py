@@ -162,25 +162,23 @@ def _back_movable_positions(graph: DefiningGraph, codes: bytes) -> list[int]:
 def _strip_suffix_in(graph: DefiningGraph, codes: bytes, gen_mask: int) -> bytes:
     """Shortest coset representative for a subgroup of commuting-closed kind.
 
-    Greedily deletes, until none remains, the rightmost letter whose generator
-    lies in ``gen_mask`` (a bitmask over vertex indices) and which commutes
-    with every letter after it.  For a reduced input this computes the minimal
-    representative of ``w * <gen_mask>``.
+    One pass from the right deletes each letter whose generator lies in
+    ``gen_mask`` (a bitmask over vertex indices) and which commutes with every
+    kept letter after it.  A deletion leaves the letters after it as they
+    were, so this is the greedy rightmost deletion repeated until none
+    remains.  For a reduced input it computes the minimal representative of
+    ``w * <gen_mask>``.
     """
-    work = bytearray(codes)
     nc = graph._nc_mask
-    while True:
-        blocked = 0
-        hit = -1
-        for pos in range(len(work) - 1, -1, -1):
-            c = work[pos]
-            if not (blocked >> c) & 1 and (gen_mask >> (c >> 1)) & 1:
-                hit = pos
-                break
-            blocked |= nc[c]
-        if hit < 0:
-            return bytes(work)
-        del work[hit]
+    blocked = 0
+    kept = bytearray()
+    for c in reversed(codes):
+        if not (blocked >> c) & 1 and (gen_mask >> (c >> 1)) & 1:
+            continue
+        kept.append(c)
+        blocked |= nc[c]
+    kept.reverse()
+    return bytes(kept)
 
 
 def _cyc_reduce_codes(graph: DefiningGraph, codes: bytes) -> tuple[bytes, bytes]:

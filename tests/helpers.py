@@ -517,6 +517,49 @@ def noov_search_by_intervals(g, radius: int):
     return pairs, premise, triples, violations
 
 
+def axis_point_by_blocks(graph, g_codes: bytes, offset: int) -> bytes:
+    """``cube._axis_point`` before it became one prefix, kept as an oracle.
+
+    It spells the path in blocks of two periods and, backwards, inverts a
+    suffix of the doubled period.  Reuses the package's inversion and normal
+    form on purpose: it checks how the path is spelled, not normal forms.
+    """
+    from raagkit.words import _inv_codes, _nf_of
+
+    span = len(g_codes) * 2
+    doubled = g_codes * 2
+    if offset >= 0:
+        q, r = divmod(offset, span)
+        path = doubled * q + doubled[:r]
+    else:
+        q, r = divmod(-offset, span)
+        path = _inv_codes(doubled) * q + (_inv_codes(doubled[span - r :]) if r else b"")
+    return _nf_of(graph, path)
+
+
+def strip_suffix_by_restarts(graph, codes: bytes, gen_mask: int) -> bytes:
+    """``words._strip_suffix_in`` before it became one pass, kept as an oracle.
+
+    It deletes the rightmost letter in ``gen_mask`` that commutes with every
+    letter after it, then scans again from the right, until none is left.
+    Reuses the package's non-commutation masks, which the word tests pin.
+    """
+    work = bytearray(codes)
+    nc = graph._nc_mask
+    while True:
+        blocked = 0
+        hit = -1
+        for pos in range(len(work) - 1, -1, -1):
+            c = work[pos]
+            if not (blocked >> c) & 1 and (gen_mask >> (c >> 1)) & 1:
+                hit = pos
+                break
+            blocked |= nc[c]
+        if hit < 0:
+            return bytes(work)
+        del work[hit]
+
+
 # ---------------------------------------------------------------------------
 # exhaustive conjugacy-class enumeration for the overlap suite
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import helpers as H
-from raagkit import cli, cube
+from raagkit import cli
 
 
 @pytest.fixture()
@@ -186,6 +186,28 @@ def test_gauss_bonnet_ok(tmp_path):
     assert "residual: 0" in out
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"vertices": [[1]], "edges": [], "faces": []},
+        {"vertices": [1, 2], "edges": [{"id": 1, "ends": [1, [2]]}], "faces": []},
+        {
+            "vertices": [1],
+            "edges": [{"id": 1, "ends": [1, 1]}],
+            "faces": [{"id": [1], "boundary": [1], "angles": ["1"]}],
+        },
+    ],
+    ids=["vertex", "edge-end", "face"],
+)
+def test_gauss_bonnet_list_ids_are_input_errors(tmp_path, body):
+    path = tmp_path / "ids.json"
+    path.write_text(json.dumps(body))
+    # an uncaught TypeError would escape run() and fail the test here
+    code, out, err = run(["gauss-bonnet", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_gauss_bonnet_bad_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"vertices": []}')
@@ -238,39 +260,22 @@ def test_bad_word_is_usage_error(p3_file):
     assert "error:" in err
 
 
-def test_caps_env_reps(p3_file, monkeypatch):
+def test_reps_cap_flag(p3_file):
     # aabbcc has 10 rotation classes in its closure at n = 1
-    monkeypatch.setenv("RAAG_KIT_CAPS", "reps=5")
-    code, out, _ = run(["verify-overlap", p3_file, "aabbcc", "--n-max", "1"])
+    argv = ["verify-overlap", p3_file, "aabbcc", "--n-max", "1"]
+    code, out, _ = run(argv + ["--reps-cap", "5"])
     assert code == 0
     assert "reps=5 " in out
     assert "(cap exceeded)" in out
-    # an explicit flag beats the environment
-    code, out, _ = run(
-        ["verify-overlap", p3_file, "aabbcc", "--n-max", "1", "--reps-cap", "100000"]
-    )
+    code, out, _ = run(argv)
+    assert code == 0
     assert "reps=10 " in out
     assert "(cap exceeded)" not in out
 
 
-def test_caps_env_hull(p3_file, monkeypatch):
-    # `reps` is the only cap key: relations and chains never enumerate
-    # interval vertices, so a hull cap has nothing to limit in the CLI
-    saved = cube.DEFAULT_HULL_CAP
-    monkeypatch.setenv("RAAG_KIT_CAPS", "hull=1")
-    code, _, err = run(["cube", "chains", p3_file, "--samples", "5", "--radius", "2"])
-    assert code == 2
-    assert "error:" in err
-    assert "'hull'" in err
-    assert cube.DEFAULT_HULL_CAP == saved
-
-
-def test_caps_env_malformed(p3_file, monkeypatch):
-    for raw in ("reps=lots", "reps=0"):
-        monkeypatch.setenv("RAAG_KIT_CAPS", raw)
-        code, _, err = run(["nf", p3_file, "a"])
-        assert code == 2
-        assert "RAAG_KIT_CAPS" in err
+def test_caps_environment_is_not_read(p3_file, monkeypatch):
+    monkeypatch.setenv("RAAG_KIT_CAPS", "reps=lots")
+    assert run(["nf", p3_file, "ba"]) == (0, "ab\n", "")
 
 
 # Each subcommand's argparse usage, on one line when 200 columns wide.
@@ -299,11 +304,22 @@ _USAGES = {
 )
 def test_numeric_flags_below_minimum(free2_file, monkeypatch, argv, flag):
     monkeypatch.setenv("COLUMNS", "200")
-    code, out, err = run([a.format(f2=free2_file) for a in argv])
+    command = " ".join(argv[: argv.index("{f2}")])
+    least = {"--n-max": 1, "--reps-cap": 1, "--radius": 0, "--samples": 0}[flag]
+    argv = [a.format(f2=free2_file) for a in argv]
+    code, out, err = run(argv)
     assert (code, out) == (2, "")
-    message, usage = err.splitlines()
-    assert message.startswith(f"error: {flag} must be at least")
-    assert usage == _USAGES[" ".join(argv[: argv.index("{f2}")])]
+    usage, message = err.splitlines()
+    assert usage == _USAGES[command]
+    assert message == (
+        f"raagkit {command}: error: argument {flag}: must be at least {least}, got {argv[-1]}"
+    )
+    # a value that is not an integer keeps argparse's own message
+    code, out, err = run(argv[:-1] + ["x"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        f"raagkit {command}: error: argument {flag}: invalid int value: 'x'"
+    )
 
 
 def test_console_script_installed(p3_file):

@@ -37,6 +37,7 @@ from raagkit import (
     check_max_chains,
     check_special_axioms,
     crosses,
+    cube,
     cyclically_reduce,
     halfspace_of_edge,
     hyperplanes_cross,
@@ -175,8 +176,9 @@ def test_interval_hull_segment(edgeless2):
     assert verts == {"1", "a", "ab"}
 
 
-def test_interval_hull_cap(p3):
-    ctx = interval(w(p3, "1"), w(p3, "ab"), hull_cap=3)
+def test_interval_hull_cap(p3, monkeypatch):
+    monkeypatch.setattr(cube, "DEFAULT_HULL_CAP", 3)
+    ctx = interval(w(p3, "1"), w(p3, "ab"))
     with pytest.raises(HullTooLarge):
         ctx.vertices()
 
@@ -256,11 +258,13 @@ def test_context_relations_vs_hull_oracle(four_gen_graphs):
                     assert tightly_nested(h, k, ctx) == tight_o(a, b)
 
 
-def test_relations_and_chains_enumerate_no_vertices(edgeless2, p3):
+def test_relations_and_chains_enumerate_no_vertices(edgeless2, p3, monkeypatch):
+    def no_vertices(self):
+        raise AssertionError("a relation enumerated the interval's vertices")
+
+    monkeypatch.setattr(cube.Interval, "vertices", no_vertices)
     for graph, text in ((edgeless2, "abAAb"), (p3, "acbAc")):
-        ctx = interval(w(graph, "1"), w(graph, text), hull_cap=1)
-        with pytest.raises(HullTooLarge):
-            ctx.vertices()
+        ctx = interval(w(graph, "1"), w(graph, text))
         hs = ctx.halfspaces
         nests = 0
         for h in hs:
@@ -645,3 +649,21 @@ def test_translated_segment_walls():
 
     check()
     assert seen["searches"] >= 30, seen
+
+
+def test_axis_point_matches_block_formula():
+    """Axis vertices as one prefix of ``g`` or ``g^-1`` repeated, against ``helpers.py``."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(graph=H.random_graphs(), data=st.data())
+    def check(graph, data):
+        codes = bytes(
+            data.draw(st.lists(st.integers(0, graph.letter_count - 1), min_size=1, max_size=6))
+        )
+        reach = 3 * len(codes) + 1
+        for offset in range(-reach, reach + 1):
+            assert cube._axis_point(graph, codes, offset) == H.axis_point_by_blocks(
+                graph, codes, offset
+            )
+
+    check()

@@ -6,6 +6,7 @@ with the package.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -265,9 +266,35 @@ def test_projection_bound_dominates_closure(suite_graphs):
         edges = {tuple(e) for e in graph.edges}
         for _ in range(5):
             cw = random_cyclic(rng, graph, 5)
-            bound, _ = projection_overlap_bound(cw)
-            brute = H.cyclic_closure_max(names, edges, to_tuples(cw.canonical()))
-            assert bound >= brute
+            for mode in ("disjoint", "any"):
+                bound, _ = projection_overlap_bound(cw, mode=mode)
+                brute = H.cyclic_closure_max(names, edges, to_tuples(cw.canonical()), mode=mode)
+                assert bound >= brute
+
+
+def test_projection_bound_colors_large_supports(grotzsch):
+    """Supports of 6 to 8 generators: classes from a coloring, or singletons."""
+    rng = random.Random(0x6207)
+    sizes = Counter()
+    while min(sizes[n] for n in (6, 7, 8)) < 4:
+        cw = random_cyclic(rng, grotzsch, 14)
+        support = {name for name, _ in to_tuples(cw.canonical())}
+        if not 6 <= len(support) <= 8:
+            continue
+        sizes[len(support)] += 1
+        for mode in ("disjoint", "any"):
+            bound, partition = projection_overlap_bound(cw, mode=mode)
+            flat = [v for cls in partition for v in cls]
+            assert sorted(flat) == sorted(support)
+            for cls in partition:
+                for x in cls:
+                    for y in cls:
+                        assert x == y or not grotzsch.adjacent(x, y)
+            assert bound >= max_inverse_overlap(cw, mode=mode)[0]
+    # in any mode the six singletons give 2 here, the coloring's classes 3
+    cw = cyc(grotzsch, "v3 v4 u3^-1 u1^-1 u4 u1 u3 z")
+    bound, partition = projection_overlap_bound(cw, mode="any")
+    assert (bound, len(partition)) == (2, 6)
 
 
 # -- axis-reversal search ---------------------------------------------------

@@ -8,6 +8,8 @@ the defining relations until the closure stabilizes.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers as H
 from raagkit import (
@@ -29,6 +31,7 @@ from raagkit import (
     power,
     reduce,
 )
+from raagkit.words import _strip_suffix_in
 
 
 def w(graph, text):
@@ -214,6 +217,27 @@ def test_cyclic_reduction_minimality_random(four_gen_graphs):
                 conj = reduce(u * core * inverse(u))
                 cc = cyclically_reduce(conj).core
                 assert len(cc) >= len(core)
+
+
+def test_strip_suffix_matches_restarting_strip():
+    """One pass from the right deletes what the restarting greedy strip deletes.
+
+    Checked on reduced and unreduced words against ``helpers.py``.
+    """
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(graph=H.random_graphs(), data=st.data())
+    def check(graph, data):
+        codes = bytes(
+            data.draw(st.lists(st.integers(0, graph.letter_count - 1), max_size=10))
+        )
+        mask = data.draw(st.integers(0, (1 << len(graph.vertices)) - 1))
+        for word in (codes, normal_form(Word(graph, codes)).codes):
+            assert _strip_suffix_in(graph, word, mask) == H.strip_suffix_by_restarts(
+                graph, word, mask
+            )
+
+    check()
 
 
 # -- CyclicWord -------------------------------------------------------------
