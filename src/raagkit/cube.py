@@ -55,7 +55,6 @@ from .words import (
     _front_movable_positions,
     _inv_codes,
     _nf_of,
-    _normal_codes,
     _reduce_codes,
     _strip_suffix_in,
     is_cyclically_reduced,
@@ -79,7 +78,7 @@ def _canon_base(graph: DefiningGraph, codes: bytes, gen: int) -> bytes:
     hit = cache.get(key)
     if hit is None:
         stripped = _strip_suffix_in(graph, reduced, graph._lk_mask[gen])
-        hit = _normal_codes(graph, stripped)
+        hit = _nf_of(graph, stripped)
         _cache_put(cache, key, hit)
     return hit
 

@@ -101,8 +101,6 @@ class DefiningGraph:
         ]
 
         self._hash = hash((self.vertices, self._edge_idx))
-        # Normal-form cache, shared by the word layer.
-        self._nf_cache: dict[bytes, bytes] = {}
         self._canon_base_cache: dict[tuple[bytes, int], bytes] = {}
 
     # -- value semantics ----------------------------------------------------

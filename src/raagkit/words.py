@@ -11,7 +11,7 @@ Two different notions of equality matter and are kept strictly apart:
 
 * ``Word.__eq__`` is structural — same graph, same letter sequence.  This is
   what sets and dict keys use.
-* :func:`equal` is equality in the group, decided via normal forms.
+* :func:`equal` is equality in the group, decided by reducing ``w1 * w2^-1``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .graphs import DefiningGraph
 
 _TOKEN_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 
-# Size at which a per-graph cache (normal forms, half-space bases) is cleared.
+# Size at which a per-graph cache (half-space bases) is cleared.
 _CACHE_LIMIT = 400_000
 
 
@@ -97,40 +97,38 @@ def _reduce_codes(graph: DefiningGraph, codes: bytes) -> bytes:
     return bytes(stack)
 
 
-def _normal_codes(graph: DefiningGraph, reduced: bytes) -> bytes:
-    """Lexicographic normal form of an already-reduced coded word.
-
-    Greedy: the next output letter is the least letter that can be shuffled
-    to the front of what remains, i.e. the least letter not blocked by an
-    earlier non-commuting letter.  Results are cached per graph.
-    """
-    cache = graph._nf_cache
-    hit = cache.get(reduced)
-    if hit is not None:
-        return hit
-    nc = graph._nc_mask
-    remaining = list(reduced)
-    out = bytearray()
-    while remaining:
-        blocked = 0
-        best_pos = -1
-        best_code = 0x7FFFFFFF
-        for pos, c in enumerate(remaining):
-            if c < best_code and not (blocked >> c) & 1:
-                best_code = c
-                best_pos = pos
-                if c == 0:
-                    break
-            blocked |= nc[c]
-        out.append(best_code)
-        del remaining[best_pos]
-    result = bytes(out)
-    _cache_put(cache, reduced, result)
-    return result
-
-
 def _nf_of(graph: DefiningGraph, codes: bytes) -> bytes:
-    return _normal_codes(graph, _reduce_codes(graph, codes))
+    """Normal form of a coded word: reduced, then lexicographically least.
+
+    One left-to-right pass keeps ``out`` the normal form of the reduced
+    prefix read so far.  Each letter ``c`` scans ``out`` from the right past
+    the letters that commute with it, noting the leftmost one greater than
+    ``c``.  If the first letter that does not commute is ``c``'s inverse, it
+    is maximal in the prefix's heap and is deleted; deleting a maximal element
+    from a lex-least linearisation leaves the lex-least one of the rest.
+    Otherwise ``c`` goes before the noted letter, or at the end: greedy
+    "least minimal letter first" can take ``c`` only after the last letter
+    that does not commute with it, and then takes it just before the first
+    greater letter, leaving every other choice as it was.
+    """
+    nc = graph._nc_mask
+    out: list[int] = []
+    for c in codes:
+        blocks = nc[c]
+        pos = len(out) - 1
+        at = pos + 1
+        while pos >= 0:
+            s = out[pos]
+            if (blocks >> s) & 1:
+                break
+            if s > c:
+                at = pos
+            pos -= 1
+        if pos >= 0 and out[pos] == c ^ 1:
+            del out[pos]
+        else:
+            out.insert(at, c)
+    return bytes(out)
 
 
 def _front_movable_positions(graph: DefiningGraph, codes: bytes) -> list[int]:
@@ -270,7 +268,7 @@ class Word:
         if text in ("", "1"):
             return cls.identity(graph)
         tokens = text.split()
-        if len(tokens) == 1 and tokens[0].isalpha() and not graph.has_vertex(tokens[0]):
+        if len(tokens) == 1 and tokens[0].isalpha() and tokens[0] not in graph.index:
             return cls._parse_compact(graph, tokens[0])
         codes = bytearray()
         for tok in tokens:
@@ -278,21 +276,23 @@ class Word:
             if not m:
                 raise WordSyntaxError(f"malformed token {tok!r}")
             name, exp_s = m.group(1), m.group(2)
-            if not graph.has_vertex(name):
+            i = graph.index.get(name)
+            if i is None:
                 raise UnknownGenerator(f"unknown generator {name!r} in token {tok!r}")
             exp = 1 if exp_s is None else int(exp_s)
-            code = graph.code(name, 1 if exp >= 0 else -1)
-            codes.extend([code] * abs(exp))
+            codes.extend([2 * i + (exp < 0)] * abs(exp))
         return cls(graph, bytes(codes))
 
     @classmethod
     def _parse_compact(cls, graph: DefiningGraph, run: str) -> "Word":
+        index = graph.index
         codes = bytearray()
         for ch in run:
-            if graph.has_vertex(ch):
-                codes.append(graph.code(ch, 1))
-            elif ch.isupper() and graph.has_vertex(ch.lower()):
-                codes.append(graph.code(ch.lower(), -1))
+            i = index.get(ch)
+            if i is not None:
+                codes.append(2 * i)
+            elif ch.isupper() and (i := index.get(ch.lower())) is not None:
+                codes.append(2 * i + 1)
             else:
                 raise UnknownGenerator(f"unknown generator {ch!r} in {run!r}")
         return cls(graph, bytes(codes))
@@ -411,7 +411,7 @@ def normal_form(word: Word) -> Word:
 def equal(w1: Word, w2: Word) -> bool:
     """Equality as group elements."""
     graph = _require_same_graph(w1, w2)
-    return _nf_of(graph, w1.codes) == _nf_of(graph, w2.codes)
+    return not _reduce_codes(graph, w1.codes + _inv_codes(w2.codes))
 
 
 def exponent_vector(word: Word) -> dict[str, int]:
@@ -439,7 +439,7 @@ def cyclically_reduce(word: Word) -> CyclicReduction:
     """
     core, conj = _cyc_reduce_codes(word.graph, word.codes)
     return CyclicReduction(
-        core=Word(word.graph, _normal_codes(word.graph, core)),
+        core=Word(word.graph, _nf_of(word.graph, core)),
         conjugator=Word(word.graph, conj),
     )
 

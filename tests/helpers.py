@@ -560,6 +560,29 @@ def strip_suffix_by_restarts(graph, codes: bytes, gen_mask: int) -> bytes:
         del work[hit]
 
 
+def normal_form_by_greedy_scan(graph, reduced: bytes) -> bytes:
+    """``words._nf_of``'s normalising step before it became one insertion pass.
+
+    Kept as an oracle: it emits, again and again, the least letter of what
+    remains that no earlier non-commuting letter blocks, rescanning the rest
+    of the word each time.  Expects a reduced word, such as the output of
+    ``words._reduce_codes``; reuses the package's non-commutation masks,
+    which the word tests pin.
+    """
+    nc = graph._nc_mask
+    remaining = list(reduced)
+    out = bytearray()
+    while remaining:
+        blocked = 0
+        best_pos = -1
+        for pos, c in enumerate(remaining):
+            if (best_pos < 0 or c < remaining[best_pos]) and not (blocked >> c) & 1:
+                best_pos = pos
+            blocked |= nc[c]
+        out.append(remaining.pop(best_pos))
+    return bytes(out)
+
+
 # ---------------------------------------------------------------------------
 # exhaustive conjugacy-class enumeration for the overlap suite
 # ---------------------------------------------------------------------------

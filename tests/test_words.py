@@ -31,7 +31,7 @@ from raagkit import (
     power,
     reduce,
 )
-from raagkit.words import _strip_suffix_in
+from raagkit.words import _inv_codes, _nf_of, _reduce_codes, _strip_suffix_in
 
 
 def w(graph, text):
@@ -65,6 +65,26 @@ def test_parse_rejects(p3):
         w(p3, "q^2")
     with pytest.raises(WordSyntaxError):
         w(p3, "a^^2")
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("axb", UnknownGenerator, "unknown generator 'x' in 'axb'"),
+        ("aXb", UnknownGenerator, "unknown generator 'X' in 'aXb'"),
+        ("AQ", UnknownGenerator, "unknown generator 'Q' in 'AQ'"),
+        ("q^2", UnknownGenerator, "unknown generator 'q' in token 'q^2'"),
+        ("a q", UnknownGenerator, "unknown generator 'q' in token 'q'"),
+        ("ab1", UnknownGenerator, "unknown generator 'ab1' in token 'ab1'"),
+        ("a^^2", WordSyntaxError, "malformed token 'a^^2'"),
+        ("a 2b", WordSyntaxError, "malformed token '2b'"),
+        ("a b^-x", WordSyntaxError, "malformed token 'b^-x'"),
+    ],
+)
+def test_parse_error_messages(p3, text, error, message):
+    with pytest.raises(error) as info:
+        w(p3, text)
+    assert str(info.value) == message
 
 
 def test_word_rejects_out_of_range_codes(p3):
@@ -122,7 +142,7 @@ def test_is_reduced_flags(p3):
 
 @pytest.mark.parametrize("gname", ["edgeless2", "p3", "c4", "k3_pendant"])
 def test_normal_form_against_moves_oracle(gname, four_gen_graphs):
-    """Oracle agreement: equality classes and canonical lengths match."""
+    """Oracle agreement: same group element, geodesic, least in letter-code order."""
     graph = four_gen_graphs[gname]
     names = graph.vertices
     edges = {tuple(e) for e in graph.edges}
@@ -135,6 +155,14 @@ def test_normal_form_against_moves_oracle(gname, four_gen_graphs):
         # same length and same group element
         assert len(nf) == len(canon)
         assert H.oracle_canonical(names, edges, to_tuples(nf)) == canon
+        # least of the element's geodesic spellings by letter code, which
+        # orders letters as (vertex, sign) with the generator first
+        geodesics = [
+            Word.from_letters(graph, u).codes
+            for u in H.moves_closure(names, edges, t)
+            if len(u) == len(canon)
+        ]
+        assert nf.codes == min(geodesics)
 
 
 def test_equal_matches_oracle(p3):
@@ -236,6 +264,45 @@ def test_strip_suffix_matches_restarting_strip():
             assert _strip_suffix_in(graph, word, mask) == H.strip_suffix_by_restarts(
                 graph, word, mask
             )
+
+    check()
+
+
+def test_normal_form_matches_greedy_scan():
+    """The insertion pass gives the greedy scan's normal form; ``equal`` agrees.
+
+    The oracle is ``helpers.normal_form_by_greedy_scan`` of the reduced word.
+    Half the words end in a shuffled inverse of one of their prefixes, so
+    that cancellations reach deep into the word.  The second word of each
+    ``equal`` check is either drawn the same way or the first word's oracle
+    normal form with a cancelling pair inserted, an equal word.
+    """
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(graph=H.random_graphs(), data=st.data())
+    def check(graph, data):
+        letters = st.integers(0, graph.letter_count - 1)
+
+        def draw_word():
+            codes = data.draw(st.lists(letters, max_size=40))
+            if data.draw(st.booleans()):
+                prefix = bytes(codes[: data.draw(st.integers(0, len(codes)))])
+                codes += data.draw(st.permutations(list(_inv_codes(prefix))))
+            return bytes(codes)
+
+        def oracle(codes):
+            return H.normal_form_by_greedy_scan(graph, _reduce_codes(graph, codes))
+
+        x = draw_word()
+        nf = oracle(x)
+        assert _nf_of(graph, x) == nf
+        if data.draw(st.booleans()):
+            at = data.draw(st.integers(0, len(nf)))
+            c = data.draw(letters)
+            y = nf[:at] + bytes([c, c ^ 1]) + nf[at:]
+        else:
+            y = draw_word()
+        assert equal(Word(graph, x), Word(graph, y)) == (nf == oracle(y))
 
     check()
 
