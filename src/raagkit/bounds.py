@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .errors import GraphMismatch
 from .graphs import Coloring, DefiningGraph, chromatic_number, find_triangle
 from .words import Word, exponent_vector, reduce
 
@@ -75,10 +76,7 @@ class BoundCertificate:
 
     def to_json_dict(self) -> dict:
         return {
-            "graph": {
-                "vertices": list(self.graph.vertices),
-                "edges": sorted(sorted(e) for e in self.graph.edges),
-            },
+            "graph": self.graph.to_json_dict(),
             "element": self.element.display(),
             "finite": self.finite,
             "bound": _rational_str(self.bound),
@@ -113,6 +111,8 @@ def scl_lower_bound(graph: DefiningGraph, g: Word, mode: str = "exact") -> Bound
     """
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
+    if g.graph != graph:
+        raise GraphMismatch("the element lives over a different graph")
     triangle_free = find_triangle(graph) is None
     coloring, exact = None, True
     reduced = reduce(g)
@@ -143,9 +143,12 @@ def verify_certificate(cert: BoundCertificate) -> bool:
 
     Checks the finiteness claim against the exponent vector, the coloring's
     properness and color count, the triangle-freeness witness, and the bound
-    arithmetic for the claimed route.
+    arithmetic for the claimed route, all over the certificate's graph.
+    ``exactness`` and ``references`` are not checked.
     """
     graph = cert.graph
+    if cert.element.graph != graph:
+        return False
     reduced = reduce(cert.element)
     trivial = reduced.is_identity
     finite = _exponents_vanish(reduced)

@@ -212,11 +212,7 @@ class AngledComplex:
         try:
             edges = [(e["id"], (e["ends"][0], e["ends"][1])) for e in data["edges"]]
             faces = [
-                (
-                    f["id"],
-                    list(f["boundary"]),
-                    [_parse_angle(a) for a in f["angles"]],
-                )
+                (f["id"], list(f["boundary"]), list(f["angles"]))
                 for f in data["faces"]
             ]
         except (KeyError, TypeError, IndexError) as exc:

@@ -9,8 +9,8 @@ sign: ``+`` is the side containing ``base*a``, ``-`` the side containing
 ``base``.
 
 Canonical form: the base is the unique minimal-length representative of the
-coset, reached by greedily deleting suffix-movable letters whose generators
-are adjacent to the label, then taking the normal form.  Equality of
+coset, reached from the normal form by greedily deleting suffix-movable
+letters whose generators are adjacent to the label.  Equality of
 half-spaces is then plain equality of ``(base, label, sign)``.
 
 Relations come in two flavors.  ``crosses``/``nested``/``tightly_nested``
@@ -39,7 +39,6 @@ from .errors import (
     ChainTooShort,
     EmptyWord,
     GraphMismatch,
-    HullTooLarge,
     NotCyclicallyReduced,
     NotInContext,
     NotNested,
@@ -49,7 +48,6 @@ from .graphs import DefiningGraph
 from .words import (
     Letter,
     Word,
-    _cache_put,
     _back_movable_positions,
     _cyc_reduce_codes,
     _front_movable_positions,
@@ -61,26 +59,18 @@ from .words import (
     normal_form,
 )
 
-#: Default cap on the size of a context interval's vertex set.
-DEFAULT_HULL_CAP = 100_000
-
-
 # ---------------------------------------------------------------------------
 # canonical half-spaces
 # ---------------------------------------------------------------------------
 
 
 def _canon_base(graph: DefiningGraph, codes: bytes, gen: int) -> bytes:
-    """Minimal representative of ``codes * <letters adjacent to gen>``."""
-    reduced = _reduce_codes(graph, codes)
-    key = (reduced, gen)
-    cache = graph._canon_base_cache
-    hit = cache.get(key)
-    if hit is None:
-        stripped = _strip_suffix_in(graph, reduced, graph._lk_mask[gen])
-        hit = _nf_of(graph, stripped)
-        _cache_put(cache, key, hit)
-    return hit
+    """Minimal representative of ``codes * <letters adjacent to gen>``, in normal form.
+
+    Each letter the strip deletes is maximal in the heap of what is left, so
+    stripping a normal form leaves a normal form.
+    """
+    return _strip_suffix_in(graph, _nf_of(graph, codes), graph._lk_mask[gen])
 
 
 class HalfSpace:
@@ -230,8 +220,6 @@ class Interval:
     collected by walking the normal form of ``start^-1 * end``; its length is
     the distance between the endpoints.  ``_down[j]`` is the bitmask of the
     positions strictly below position ``j`` in the heap of that normal form.
-    The vertex set of the interval (all vertices on geodesics) is enumerated
-    only on request, and capped at ``DEFAULT_HULL_CAP``.
     """
 
     def __init__(self, start: Word, end: Word):
@@ -274,38 +262,6 @@ class Interval:
     def _comparable(self, i: int, j: int) -> bool:
         lo, hi = sorted((i, j))
         return bool((self._down[hi] >> lo) & 1)
-
-    def vertices(self) -> list[Word]:
-        """All vertices on geodesics, breadth-first from ``start``.
-
-        Each vertex is ``start`` times an order ideal of the heap.  The steps
-        out of an ideal are its minimal missing positions, taken in letter-code
-        order.
-        """
-        graph, word, down = self.graph, self._word, self._down
-        seen = {0}
-        hull = [self.start.codes]
-        frontier = [(0, self.start.codes)]
-        while frontier:
-            nxt = []
-            for ideal, v in frontier:
-                steps = sorted(
-                    (word[r], r)
-                    for r in range(len(word))
-                    if not (ideal >> r) & 1 and not down[r] & ~ideal
-                )
-                for c, r in steps:
-                    child = ideal | (1 << r)
-                    if child in seen:
-                        continue
-                    seen.add(child)
-                    w = _nf_of(graph, v + bytes([c]))
-                    hull.append(w)
-                    nxt.append((child, w))
-                    if len(hull) > DEFAULT_HULL_CAP:
-                        raise HullTooLarge(f"interval vertex set exceeds cap {DEFAULT_HULL_CAP}")
-            frontier = nxt
-        return [Word(graph, v) for v in hull]
 
 
 def interval(x: Word, y: Word) -> Interval:

@@ -42,7 +42,10 @@ class TooManyVertices(RaagError):
 # -- words -------------------------------------------------------------------
 
 class WordSyntaxError(RaagError):
-    """Word text does not parse (bad token or zero exponent)."""
+    """A word token is malformed, or a letter's sign is not +1 or -1.
+
+    A zero exponent is not an error: ``a^0`` parses to the identity.
+    """
 
 
 class UnknownGenerator(RaagError):
@@ -69,10 +72,6 @@ class EmptyWord(RaagError):
 
 class NotInContext(RaagError):
     """A half-space relation was queried outside its context interval."""
-
-
-class HullTooLarge(RaagError):
-    """The vertex hull of a context interval exceeded the configured cap."""
 
 
 class NotNested(RaagError):

@@ -43,7 +43,7 @@ class DefiningGraph:
     """A finite simplicial graph with an ordered vertex list.
 
     Instances are value objects: equality and hashing look only at the vertex
-    order and the edge set, never at the internal caches.
+    order and the edge set.
     """
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str]]):
@@ -101,7 +101,6 @@ class DefiningGraph:
         ]
 
         self._hash = hash((self.vertices, self._edge_idx))
-        self._canon_base_cache: dict[tuple[bytes, int], bytes] = {}
 
     # -- value semantics ----------------------------------------------------
 
@@ -117,6 +116,13 @@ class DefiningGraph:
 
     def __repr__(self) -> str:
         return f"DefiningGraph(vertices={list(self.vertices)!r}, edges={sorted(self.edges)!r})"
+
+    def to_json_dict(self) -> dict:
+        """The graph block of every JSON report: vertices in order, sorted edges."""
+        return {
+            "vertices": list(self.vertices),
+            "edges": sorted(sorted(e) for e in self.edges),
+        }
 
     # -- queries -------------------------------------------------------------
 

@@ -218,10 +218,7 @@ class OverlapReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "graph": {
-                "vertices": list(self.graph.vertices),
-                "edges": sorted(sorted(e) for e in self.graph.edges),
-            },
+            "graph": self.graph.to_json_dict(),
             "g": self.g.display(),
             "n": self.n,
             "representatives_checked": self.representatives_checked,

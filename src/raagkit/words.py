@@ -32,9 +32,6 @@ from .graphs import DefiningGraph
 
 _TOKEN_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 
-# Size at which a per-graph cache (half-space bases) is cleared.
-_CACHE_LIMIT = 400_000
-
 
 class Letter(NamedTuple):
     name: str
@@ -59,13 +56,6 @@ def _least_rotation(codes: bytes) -> bytes:
     n = len(codes)
     doubled = codes * 2
     return min([doubled[i : i + n] for i in range(n)])
-
-
-def _cache_put(cache: dict, key, value) -> None:
-    """Store ``value`` in a per-graph cache, clearing the cache first when it is full."""
-    if len(cache) >= _CACHE_LIMIT:
-        cache.clear()
-    cache[key] = value
 
 
 def _reduce_codes(graph: DefiningGraph, codes: bytes) -> bytes:

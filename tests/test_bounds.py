@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from raagkit import (
+    GraphMismatch,
     Word,
     is_scl_finite,
     reference_bounds,
@@ -116,8 +117,18 @@ def test_verify_rejects_tampering(edgeless2, k3_pendant):
     assert not verify_certificate(dataclasses.replace(cert, coloring=None))
 
 
+def test_element_over_another_graph(edgeless2, p3):
+    # abAB over F2 is not an element of A(p3), whatever p3's letters are named
+    with pytest.raises(GraphMismatch):
+        scl_lower_bound(p3, w(edgeless2, "abAB"))
+    cert = scl_lower_bound(p3, w(p3, "acAC"))
+    assert verify_certificate(cert)
+    assert not verify_certificate(dataclasses.replace(cert, element=w(edgeless2, "abAB")))
+
+
 def test_certificate_json(p3):
     d = scl_lower_bound(p3, w(p3, "acAC")).to_json_dict()
+    assert d["graph"] == {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}
     assert d["bound"] == "1/12"
     assert d["route"] == "best-of-both"
     assert d["finite"] is True

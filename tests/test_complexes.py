@@ -201,3 +201,10 @@ def test_parse_complex_rejects_garbage():
         parse_complex("[]")
     with pytest.raises(InconsistentComplex):
         parse_complex('{"vertices": ["v"], "edges": []}')
+
+
+def test_parse_complex_rejects_bad_angle():
+    data = one_square_torus().to_json_dict()
+    data["faces"][0]["angles"][2] = "1/x"
+    with pytest.raises(InconsistentComplex, match="angle '1/x' is not a rational"):
+        parse_complex(json.dumps(data))

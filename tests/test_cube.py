@@ -3,12 +3,12 @@
 Oracle strategy: context relations (read off the heap poset of the
 interval's normal form) and global relations (read off one reduction between
 the bases) are two independent code paths that must agree whenever both
-half-spaces separate a common pair of vertices.  The context relations and
-the interval's vertex set are also checked, in both orientations, against a
-hull oracle that uses no poset: the interval's vertices are the ball
-vertices on a geodesic, found by distance sums, and relations come from
-counting quadrants of ``member`` over them.  Over random graphs, the global
-relations and ``member`` are checked against the distance and interval
+half-spaces separate a common pair of vertices.  Over random graphs, the
+context relations are also checked, in both orientations, against a hull
+oracle that uses no poset: the interval's vertices are the ball vertices on
+a geodesic, found by distance sums, and relations come from counting
+quadrants of ``member`` over them.  The global relations and ``member``
+are checked, again over random graphs, against the distance and interval
 formulation in ``helpers.py``, longest chains against an enumeration of
 nested runs, and the no-overlap search against one interval per element.
 ``in_a_g_plus`` is checked against its definition with a large explicit
@@ -27,7 +27,6 @@ import helpers as H
 from raagkit import (
     ChainTooShort,
     DefiningGraph,
-    HullTooLarge,
     NotInContext,
     NotNested,
     Word,
@@ -51,10 +50,10 @@ from raagkit import (
     nested_globally,
     normal_form,
     power,
+    reduce,
     search_prop_noov_violation,
     tightly_nested,
     tightly_nested_globally,
-    words,
 )
 
 
@@ -83,6 +82,21 @@ def test_halfspace_canonical_base(edgeless2, p3):
     h3 = halfspace_of_edge(w(edgeless2, "a"), ("a", -1))
     assert h3.sign == -1
     assert h3.base.is_identity
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(graph=H.random_graphs(), data=st.data())
+def test_canon_base_matches_strip_then_normal_form(graph, data):
+    """Stripping the normal form gives the normal form of the stripped reduced word.
+
+    The oracle reduces, strips and then normalises, with the restarting strip
+    and the greedy normal-form scan of ``helpers.py``.
+    """
+    codes = bytes(data.draw(st.lists(st.integers(0, graph.letter_count - 1), max_size=16)))
+    gen = data.draw(st.integers(0, len(graph.vertices) - 1))
+    reduced = reduce(Word(graph, codes)).codes
+    stripped = H.strip_suffix_by_restarts(graph, reduced, graph._lk_mask[gen])
+    assert cube._canon_base(graph, codes, gen) == H.normal_form_by_greedy_scan(graph, stripped)
 
 
 def test_same_wall_both_orientations(edgeless2):
@@ -164,25 +178,6 @@ def test_interval_lists_separators_in_order(edgeless2):
         assert member(ctx.end, h)
 
 
-def test_interval_hull_square(p3):
-    ctx = interval(w(p3, "1"), w(p3, "ab"))
-    # breadth-first from the start, steps in letter-code order
-    assert [v.display() for v in ctx.vertices()] == ["1", "a", "b", "ab"]
-
-
-def test_interval_hull_segment(edgeless2):
-    ctx = interval(w(edgeless2, "1"), w(edgeless2, "ab"))
-    verts = {v.display() for v in ctx.vertices()}
-    assert verts == {"1", "a", "ab"}
-
-
-def test_interval_hull_cap(p3, monkeypatch):
-    monkeypatch.setattr(cube, "DEFAULT_HULL_CAP", 3)
-    ctx = interval(w(p3, "1"), w(p3, "ab"))
-    with pytest.raises(HullTooLarge):
-        ctx.vertices()
-
-
 def _hull_oracle(x, y, pool):
     """The vertices of ``[x, y]``: members of ``pool`` on an x-y geodesic."""
     d = distance(x, y)
@@ -232,37 +227,36 @@ def _oracle_relations(oriented, hull):
     return crosses_oracle, nested_oracle, tight_oracle
 
 
-def test_context_relations_vs_hull_oracle(four_gen_graphs):
-    """Heap-read relations and vertices against quadrant counting over a hull.
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    graph=H.random_graphs().filter(lambda g: len(g.vertices) <= 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_context_relations_vs_hull_oracle(graph, seed):
+    """Heap-read relations against quadrant counting over a hull.
 
     Endpoints lie in the ball of radius 2, so every vertex between them lies
-    in the ball of radius 4.  Every ordered pair of half-spaces is checked in
-    both orientations, complement pairs included.
+    in ``x`` times the ball of radius ``d(x, y) <= 4``.  Every ordered pair
+    of half-spaces is checked in both orientations, complement pairs
+    included.
     """
-    rng = random.Random(0x0AC1)
-    for graph in four_gen_graphs.values():
-        near, pool = ball(graph, 2), ball(graph, 4)
-        for _ in range(6):
-            x, y = rng.sample(near, 2)
-            ctx = interval(x, y)
-            hull = _hull_oracle(x, y, pool)
-            assert {v.codes for v in ctx.vertices()} == {v.codes for v in hull}
-            oriented = [o for h in ctx.halfspaces for o in (h, h.complement())]
-            crosses_o, nested_o, tight_o = _oracle_relations(oriented, hull)
-            for a, h in enumerate(oriented):
-                for b, k in enumerate(oriented):
-                    if a == b:
-                        continue
-                    assert crosses(h, k, ctx) == crosses_o(a, b)
-                    assert nested(h, k, ctx) == nested_o(a, b)
-                    assert tightly_nested(h, k, ctx) == tight_o(a, b)
+    x, y = random.Random(seed).sample(ball(graph, 2), 2)
+    ctx = interval(x, y)
+    pool = [normal_form(x * v) for v in ball(graph, distance(x, y))]
+    hull = _hull_oracle(x, y, pool)
+    oriented = [o for h in ctx.halfspaces for o in (h, h.complement())]
+    crosses_o, nested_o, tight_o = _oracle_relations(oriented, hull)
+    for a, h in enumerate(oriented):
+        for b, k in enumerate(oriented):
+            if a == b:
+                continue
+            assert crosses(h, k, ctx) == crosses_o(a, b)
+            assert nested(h, k, ctx) == nested_o(a, b)
+            assert tightly_nested(h, k, ctx) == tight_o(a, b)
 
 
-def test_relations_and_chains_enumerate_no_vertices(edgeless2, p3, monkeypatch):
-    def no_vertices(self):
-        raise AssertionError("a relation enumerated the interval's vertices")
-
-    monkeypatch.setattr(cube.Interval, "vertices", no_vertices)
+def test_relations_and_chains_enumerate_no_vertices(edgeless2, p3):
+    """Relations and chains read the heap alone: an interval keeps no vertex list."""
     for graph, text in ((edgeless2, "abAAb"), (p3, "acbAc")):
         ctx = interval(w(graph, "1"), w(graph, text))
         hs = ctx.halfspaces
@@ -502,25 +496,6 @@ def test_median_betweenness_small(p3, c4, c5, k3_pendant):
                     assert distance(u, m) + distance(m, v) == distance(u, v)
                 # symmetric in its arguments
                 assert median(z, x, y) == m
-
-
-def test_caches_clear_when_full(monkeypatch):
-    """A full half-space base cache is cleared, and the answers do not change."""
-
-    def answers():
-        graph = DefiningGraph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
-        rng = random.Random(5)
-        out = []
-        for _ in range(60):
-            x = Word(graph, bytes(rng.randrange(8) for _ in range(rng.randint(0, 9))))
-            out.append(normal_form(x).display())
-            out += [halfspace_of_edge(x, (v, 1)).display() for v in graph.vertices]
-            assert len(graph._canon_base_cache) <= words._CACHE_LIMIT
-        return out
-
-    expected = answers()
-    monkeypatch.setattr(words, "_CACHE_LIMIT", 5)
-    assert answers() == expected
 
 
 # -- global in_a_g_plus -----------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -12,9 +13,14 @@ from raagkit import (
     TooLargeForExact,
     TooManyVertices,
     Word,
+    check_max_chains,
+    check_special_axioms,
     chromatic_number,
     find_triangle,
     parse_graph,
+    scl_lower_bound,
+    search_prop_noov_violation,
+    verify_key_lemma,
 )
 from raagkit.graphs import _dsatur, _greedy_clique, _try_color
 
@@ -37,6 +43,18 @@ def test_structural_equality():
     assert g1 == g2
     assert hash(g1) == hash(g2)
     assert g1 != g3  # vertex order is part of the identity
+
+
+def test_library_calls_leave_the_graph_unchanged(k3_pendant):
+    """A defining graph is a plain value: no library call writes to it."""
+    before = copy.deepcopy(vars(k3_pendant))
+    g = Word.parse(k3_pendant, "bdBD")
+    check_special_axioms(k3_pendant, samples=100, radius=2)
+    check_max_chains(k3_pendant, samples=20, radius=2)
+    search_prop_noov_violation(g, radius=2, samples=20)
+    verify_key_lemma(g, n_max=2)
+    scl_lower_bound(k3_pendant, g)
+    assert vars(k3_pendant) == before
 
 
 def test_rejects_bad_input():
@@ -130,11 +148,14 @@ def test_chromatic_vs_backtracking_oracle():
 def test_coloring_search_matches_static_search():
     # forward checking only cuts branches with no solution, so the first
     # coloring found and every empty search are those of the plain search.
-    # DSATUR is optimal on most small graphs: about one graph in sixty, most
-    # of them on 12 or more vertices, needs the search to find its coloring.
+    # DSATUR is optimal on most small graphs: about one graph in sixty-five,
+    # most of them on 12 or more vertices, needs the search to find its
+    # coloring.  Hypothesis mixes the integer literals of the library source
+    # into its draws, so the examples change whenever a literal does; 3000
+    # examples keep the expected count (about 45) well above the floor.
     by_search = set()
 
-    @settings(max_examples=2000, derandomize=True, deadline=None)
+    @settings(max_examples=3000, derandomize=True, deadline=None)
     @given(
         n=st.sampled_from(range(1, 17)),
         density=st.sampled_from([0.3, 0.45, 0.6, 0.75]),
