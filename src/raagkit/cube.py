@@ -24,8 +24,11 @@ two nested ones are the positions between them.  The global variants used
 by the axiom checkers need no context: they read everything off the one
 reduced word ``u = reduce(b_h^-1 b_k)`` between the two bases, crossing by a
 double-coset strip, each base's side of the other wall by the letters ``u``
-can start or end with, and tightness by the heap of ``u`` with edge letters
-added; they build no interval and canonicalise no half-space.
+can start or end with (one bitmask each), and tightness by the heap of ``u``
+with edge letters added; they build no interval and canonicalise no
+half-space.  The median of ``x, y, z`` is ``x`` times the meet of
+``reduce(x^-1 y)`` and ``reduce(x^-1 z)`` in the prefix order of traces, the
+same meet that cyclic reduction takes of ``w`` and ``w^-1``.
 """
 
 from __future__ import annotations
@@ -48,10 +51,9 @@ from .graphs import DefiningGraph
 from .words import (
     Letter,
     Word,
-    _back_movable_positions,
-    _cyc_reduce_codes,
-    _front_movable_positions,
+    _first_letters,
     _inv_codes,
+    _meet,
     _nf_of,
     _reduce_codes,
     _strip_suffix_in,
@@ -131,20 +133,6 @@ class HalfSpace:
         return f"HalfSpace{self.display()}"
 
 
-def _coerce_letter(graph: DefiningGraph, letter: Letter | tuple[str, int] | str) -> tuple[str, int]:
-    if isinstance(letter, str):
-        word = Word.parse(graph, letter)
-        if len(word.codes) != 1:
-            raise UnknownGenerator(f"expected a single letter, got {letter!r}")
-        return graph.decode(word.codes[0])
-    name, sign = letter
-    if not graph.has_vertex(name):
-        raise UnknownGenerator(f"unknown generator {name!r}")
-    if sign not in (1, -1):
-        raise UnknownGenerator(f"letter sign must be +1 or -1, got {sign!r}")
-    return name, sign
-
-
 def _halfspace_at(graph: DefiningGraph, point: bytes, code: int) -> HalfSpace:
     """The half-space entered by crossing the edge from ``point`` along ``code``."""
     gen = code >> 1
@@ -157,16 +145,22 @@ def _halfspace_at(graph: DefiningGraph, point: bytes, code: int) -> HalfSpace:
 def halfspace_of_edge(x: Word, letter: Letter | tuple[str, int] | str) -> HalfSpace:
     """The canonical half-space entered by crossing the edge ``(x, x*letter)``.
 
-    The returned half-space contains ``x*letter`` and not ``x``.
+    The returned half-space contains ``x*letter`` and not ``x``.  The letter
+    is checked as :meth:`Word.parse` or :meth:`Word.from_letters` checks it.
     """
-    name, sign = _coerce_letter(x.graph, letter)
-    return _halfspace_at(x.graph, x.codes, x.graph.code(name, sign))
+    if isinstance(letter, str):
+        word = Word.parse(x.graph, letter)
+    else:
+        word = Word.from_letters(x.graph, [letter])
+    if len(word.codes) != 1:
+        raise UnknownGenerator(f"expected a single letter, got {letter!r}")
+    return _halfspace_at(x.graph, x.codes, word.codes[0])
 
 
 def _member_codes(graph: DefiningGraph, x: bytes, hs: HalfSpace) -> bool:
     to_base = _reduce_codes(graph, _inv_codes(x) + hs.base_codes)
-    ends = {to_base[p] for p in _back_movable_positions(graph, to_base)}
-    return (2 * hs.label_index + 1 in ends) == (hs.sign > 0)
+    ends = _first_letters(graph, to_base[::-1])
+    return bool((ends >> (2 * hs.label_index + 1)) & 1) == (hs.sign > 0)
 
 
 def member(x: Word, hs: HalfSpace) -> bool:
@@ -426,9 +420,8 @@ def median(x: Word, y: Word, z: Word) -> Word:
     """The unique vertex through which all three pairwise geodesics pass.
 
     It is ``x`` times the meet of ``x^-1 y`` and ``x^-1 z`` in the prefix order
-    of reduced words (their greatest common trace prefix): while some letter
-    can be shuffled to the front of both, the least such letter joins the
-    meet and is cancelled from both.
+    of reduced words (their greatest common trace prefix), returned in
+    normal form.
     """
     if x.graph != y.graph or x.graph != z.graph:
         raise GraphMismatch("median arguments live over different graphs")
@@ -436,16 +429,7 @@ def median(x: Word, y: Word, z: Word) -> Word:
     x_inv = _inv_codes(x.codes)
     u = _reduce_codes(graph, x_inv + y.codes)
     v = _reduce_codes(graph, x_inv + z.codes)
-    meet = bytearray()
-    while True:
-        common = {u[p] for p in _front_movable_positions(graph, u)}
-        common &= {v[p] for p in _front_movable_positions(graph, v)}
-        if not common:
-            return Word(graph, _nf_of(graph, x.codes + bytes(meet)))
-        c = min(common)
-        meet.append(c)
-        u = _reduce_codes(graph, bytes([c ^ 1]) + u)
-        v = _reduce_codes(graph, bytes([c ^ 1]) + v)
+    return Word(graph, _nf_of(graph, x.codes + _meet(graph, u, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +475,9 @@ def _nesting(h: HalfSpace, k: HalfSpace) -> tuple[Optional[int], bytes]:
     if (graph._lk_mask[h.label_index] >> k.label_index) & 1 and _walls_cross(graph, h, k, u):
         return None, u
     # u runs from b_h to b_k and its inverse from b_k to b_h
-    ends = {u[p] for p in _back_movable_positions(graph, u)}
-    starts = {u[p] for p in _front_movable_positions(graph, u)}
-    h_side = (2 * k.label_index + 1 in ends) == (k.sign > 0)
-    k_side = (2 * h.label_index in starts) == (h.sign > 0)
+    ends, starts = _first_letters(graph, u[::-1]), _first_letters(graph, u)
+    h_side = bool((ends >> (2 * k.label_index + 1)) & 1) == (k.sign > 0)
+    k_side = bool((starts >> (2 * h.label_index)) & 1) == (h.sign > 0)
     return (None if h_side == k_side else 1 if k_side else -1), u
 
 
@@ -560,14 +543,15 @@ def _axis_window(g: Word, hs: HalfSpace) -> int:
     """
     graph = g.graph
     lk = graph._lk_mask[hs.label_index]
-    image = bytes(c for c in g.codes if not (lk >> (c >> 1)) & 1)
-    core, conj = _cyc_reduce_codes(graph, image)
+    image = _reduce_codes(graph, bytes(c for c in g.codes if not (lk >> (c >> 1)) & 1))
+    conj = len(_meet(graph, image, _inv_codes(image)))
+    core = len(image) - 2 * conj
     if not core:
         raise AssertionError(
             "axis label survives the retraction but its image is conjugacy-trivial"
         )
-    numer = len(hs.base_codes) + 2 * len(conj) + len(g.codes)
-    return ceil(numer / len(core)) + 2
+    numer = len(hs.base_codes) + 2 * conj + len(g.codes)
+    return ceil(numer / core) + 2
 
 
 def in_a_g_plus(g: Word, hs: HalfSpace) -> bool:

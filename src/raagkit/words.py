@@ -121,30 +121,37 @@ def _nf_of(graph: DefiningGraph, codes: bytes) -> bytes:
     return bytes(out)
 
 
-def _front_movable_positions(graph: DefiningGraph, codes: bytes) -> list[int]:
-    """Positions whose letter commutes with everything before it."""
+def _first_letters(graph: DefiningGraph, codes: bytes) -> int:
+    """Bitmask of the letter codes the word can be shuffled to start with.
+
+    A letter can move to the front when it commutes with every letter before
+    it.  Commuting is symmetric, so the letters a word can end with are the
+    first letters of ``codes[::-1]``.
+    """
     nc = graph._nc_mask
     blocked = 0
-    out = []
-    for pos, c in enumerate(codes):
+    first = 0
+    for c in codes:
         if not (blocked >> c) & 1:
-            out.append(pos)
+            first |= 1 << c
         blocked |= nc[c]
-    return out
+    return first
 
 
-def _back_movable_positions(graph: DefiningGraph, codes: bytes) -> list[int]:
-    """Positions whose letter commutes with everything after it."""
-    nc = graph._nc_mask
-    blocked = 0
-    out = []
-    for pos in range(len(codes) - 1, -1, -1):
-        c = codes[pos]
-        if not (blocked >> c) & 1:
-            out.append(pos)
-        blocked |= nc[c]
-    out.reverse()
-    return out
+def _meet(graph: DefiningGraph, u: bytes, v: bytes) -> bytes:
+    """The greatest common prefix of two reduced words, in the prefix order of traces.
+
+    Reducing ``u^-1 v`` keeps the survivors of ``u^-1`` before those of ``v``,
+    and the ``k`` letters of ``v`` it cancels are exactly the meet: each
+    commutes past every survivor of ``v`` before it, so they spell a common
+    prefix of ``u`` and ``v``, and ``|u^-1 v| = |u| + |v| - 2k`` leaves no
+    longer one.  The meet is ``v`` with its survivors cancelled from the right.
+    """
+    if not _first_letters(graph, u) & _first_letters(graph, v):
+        return b""
+    rest = _reduce_codes(graph, _inv_codes(u) + v)
+    k = (len(u) + len(v) - len(rest)) // 2
+    return _reduce_codes(graph, v + _inv_codes(rest[len(u) - k :]))
 
 
 def _strip_suffix_in(graph: DefiningGraph, codes: bytes, gen_mask: int) -> bytes:
@@ -167,38 +174,6 @@ def _strip_suffix_in(graph: DefiningGraph, codes: bytes, gen_mask: int) -> bytes
         blocked |= nc[c]
     kept.reverse()
     return bytes(kept)
-
-
-def _cyc_reduce_codes(graph: DefiningGraph, codes: bytes) -> tuple[bytes, bytes]:
-    """Return ``(core, conjugator)`` with ``word = conjugator core conjugator^-1``.
-
-    The input is reduced first.  Then, while some letter can be shuffled to
-    the front whose inverse can be shuffled to the back, the least such letter
-    is stripped from both ends and recorded.  Stripping a front-movable letter
-    and a back-movable letter from a reduced word leaves a reduced word, but a
-    defensive re-reduce keeps the invariant locally checkable.
-    """
-    work = _reduce_codes(graph, codes)
-    conj = bytearray()
-    while True:
-        front = _front_movable_positions(graph, work)
-        back = _back_movable_positions(graph, work)
-        back_codes = {work[p]: p for p in back}
-        candidate = None
-        for p in front:
-            c = work[p]
-            q = back_codes.get(c ^ 1)
-            if q is not None and q != p:
-                if candidate is None or c < work[candidate[0]]:
-                    candidate = (p, q)
-        if candidate is None:
-            return bytes(work), bytes(conj)
-        p, q = candidate
-        conj.append(work[p])
-        work = bytearray(work)
-        del work[q]
-        del work[p]
-        work = bytearray(_reduce_codes(graph, bytes(work)))
 
 
 # ---------------------------------------------------------------------------
@@ -423,36 +398,43 @@ class CyclicReduction:
 def cyclically_reduce(word: Word) -> CyclicReduction:
     """Cyclically reduce a word.
 
-    Returns a cyclically reduced core in normal form together with a reduced
-    conjugating word ``u`` such that the input equals ``u core u^-1`` in the
-    group.
+    Returns a cyclically reduced core together with a conjugating word ``u``
+    such that the input equals ``u core u^-1`` in the group; both are in
+    normal form.  For the reduced word ``w``, ``u`` is the meet of ``w`` and
+    ``w^-1``: if ``w = p c p^-1`` with ``c`` cyclically reduced, a letter both
+    ``c p^-1`` and ``c^-1 p^-1`` could start with would make ``w`` unreduced
+    or ``c`` not cyclically reduced.
     """
-    core, conj = _cyc_reduce_codes(word.graph, word.codes)
+    graph = word.graph
+    w = _reduce_codes(graph, word.codes)
+    p = _meet(graph, w, _inv_codes(w))
     return CyclicReduction(
-        core=Word(word.graph, _nf_of(word.graph, core)),
-        conjugator=Word(word.graph, conj),
+        core=Word(graph, _nf_of(graph, _inv_codes(p) + w + p)),
+        conjugator=Word(graph, _nf_of(graph, p)),
     )
 
 
 def is_cyclically_reduced(word: Word) -> bool:
     """True when the word is reduced and no conjugation can shorten it.
 
-    Equivalently: no letter that can shuffle to the front has an inverse that
-    can shuffle to the back.  Unreduced words simply return False.
+    Equivalently: no letter the word can be shuffled to start with has an
+    inverse it can be shuffled to end with, i.e. the first letters of ``w``
+    and of ``w^-1`` are disjoint.  Unreduced words simply return False.
     """
-    if not is_reduced(word):
-        return False
-    core, conj = _cyc_reduce_codes(word.graph, word.codes)
-    return not conj
+    graph, codes = word.graph, word.codes
+    return is_reduced(word) and not (
+        _first_letters(graph, codes) & _first_letters(graph, _inv_codes(codes))
+    )
 
 
 class CyclicWord:
     """A cyclic word: a cyclically reduced word considered up to rotation.
 
-    Construction validates the representative: it must be nonempty, reduced,
-    and cyclically reduced.  Equality and hashing use the least rotation of
-    the packed letters, so two representatives of the same rotation class
-    compare equal.
+    Construction validates the representative: it must be nonempty, reduced
+    (else :class:`NotReduced`), and cyclically reduced, with no first letter
+    whose inverse is a last letter (else :class:`NotCyclicallyReduced`).
+    Equality and hashing use the least rotation of the packed letters, so two
+    representatives of the same rotation class compare equal.
     """
 
     __slots__ = ("word", "_canon", "_hash")
@@ -462,8 +444,8 @@ class CyclicWord:
             raise EmptyWord("a cyclic word must be nonempty")
         if not is_reduced(word):
             raise NotReduced(f"{word.display()!r} is not reduced")
-        core, conj = _cyc_reduce_codes(word.graph, word.codes)
-        if conj:
+        graph, codes = word.graph, word.codes
+        if _first_letters(graph, codes) & _first_letters(graph, _inv_codes(codes)):
             raise NotCyclicallyReduced(f"{word.display()!r} is not cyclically reduced")
         self.word = word
         self._canon = _least_rotation(word.codes)

@@ -583,15 +583,78 @@ def normal_form_by_greedy_scan(graph, reduced: bytes) -> bytes:
     return bytes(out)
 
 
+def _movable_codes(graph, codes) -> list[tuple[int, int]]:
+    """``(position, letter)`` of each letter that commutes with everything before it."""
+    nc = graph._nc_mask
+    blocked = 0
+    out = []
+    for pos, c in enumerate(codes):
+        if not (blocked >> c) & 1:
+            out.append((pos, c))
+        blocked |= nc[c]
+    return out
+
+
+def cyclic_reduction_by_stripping(graph, codes: bytes) -> tuple[bytes, bytes]:
+    """``words.cyclically_reduce`` before it became one meet, kept as an oracle.
+
+    Returns ``(core, conjugator)`` with the core not yet in normal form.
+    While some letter can be shuffled to the front whose inverse can be
+    shuffled to the back, the least such letter is stripped from both ends,
+    recorded, and the rest reduced again.  Reuses the package's reduction
+    and non-commutation masks, which the word tests pin.
+    """
+    from raagkit.words import _reduce_codes
+
+    work = _reduce_codes(graph, codes)
+    conj = bytearray()
+    while True:
+        back = {c: len(work) - 1 - p for p, c in _movable_codes(graph, work[::-1])}
+        hits = [(c, p) for p, c in _movable_codes(graph, work) if c ^ 1 in back]
+        if not hits:
+            return work, bytes(conj)
+        c, p = min(hits)
+        conj.append(c)
+        rest = bytearray(work)
+        del rest[back[c ^ 1]]
+        del rest[p]
+        work = _reduce_codes(graph, bytes(rest))
+
+
+def median_by_front_letters(graph, x: bytes, y: bytes, z: bytes) -> bytes:
+    """``cube.median`` before it became one meet, kept as an oracle.
+
+    While some letter can be shuffled to the front of both ``x^-1 y`` and
+    ``x^-1 z``, the least such letter joins the meet and is cancelled from
+    both.  Reuses the package's reduction and normal form, which the word
+    tests pin.
+    """
+    from raagkit.words import _inv_codes, _nf_of, _reduce_codes
+
+    u = _reduce_codes(graph, _inv_codes(x) + y)
+    v = _reduce_codes(graph, _inv_codes(x) + z)
+    meet = bytearray()
+    while True:
+        common = {c for _, c in _movable_codes(graph, u)}
+        common &= {c for _, c in _movable_codes(graph, v)}
+        if not common:
+            return _nf_of(graph, x + bytes(meet))
+        c = min(common)
+        meet.append(c)
+        u = _reduce_codes(graph, bytes([c ^ 1]) + u)
+        v = _reduce_codes(graph, bytes([c ^ 1]) + v)
+
+
 # ---------------------------------------------------------------------------
 # exhaustive conjugacy-class enumeration for the overlap suite
 # ---------------------------------------------------------------------------
 
 
 def rotation_classes(graph, max_len: int) -> list[bytes]:
-    """Every cyclically reduced word of length <= max_len, one per rotation class."""
-    from raagkit.words import _cyc_reduce_codes
+    """Every cyclically reduced word of length <= max_len, one per rotation class.
 
+    Cyclic reduction is the stripping oracle, not the package's.
+    """
     n2 = graph.letter_count
     nc = graph._nc_mask
     out: list[bytes] = []
@@ -611,7 +674,7 @@ def rotation_classes(graph, max_len: int) -> list[bytes]:
         if prefix:
             b = bytes(prefix)
             if b == min_rotation(b):
-                core, conj = _cyc_reduce_codes(graph, b)
+                core, conj = cyclic_reduction_by_stripping(graph, b)
                 if not conj and len(core) == len(b):
                     out.append(b)
         if len(prefix) < max_len:

@@ -29,7 +29,9 @@ from raagkit import (
     DefiningGraph,
     NotInContext,
     NotNested,
+    UnknownGenerator,
     Word,
+    WordSyntaxError,
     act,
     all_longest_chains,
     ball,
@@ -97,6 +99,18 @@ def test_canon_base_matches_strip_then_normal_form(graph, data):
     reduced = reduce(Word(graph, codes)).codes
     stripped = H.strip_suffix_by_restarts(graph, reduced, graph._lk_mask[gen])
     assert cube._canon_base(graph, codes, gen) == H.normal_form_by_greedy_scan(graph, stripped)
+
+
+def test_halfspace_of_edge_letter_errors(p3):
+    """A bad letter fails as when building a word from it."""
+    x = w(p3, "b")
+    with pytest.raises(WordSyntaxError, match=r"^letter sign must be \+1 or -1, got 2$"):
+        halfspace_of_edge(x, ("a", 2))
+    with pytest.raises(UnknownGenerator, match=r"^unknown generator 'z'$"):
+        halfspace_of_edge(x, ("z", 1))
+    with pytest.raises(UnknownGenerator, match=r"^expected a single letter, got 'ab'$"):
+        halfspace_of_edge(x, "ab")
+    assert halfspace_of_edge(x, ("a", -1)) == halfspace_of_edge(x, "A")
 
 
 def test_same_wall_both_orientations(edgeless2):
@@ -346,7 +360,7 @@ def test_global_relations_match_interval_oracle():
     """
     seen = Counter()
 
-    @settings(max_examples=150, derandomize=True, deadline=None)
+    @settings(max_examples=175, derandomize=True, deadline=None)
     @given(graph=H.random_graphs(), seed=st.integers(0, 2**32 - 1))
     def check(graph, seed):
         rng = random.Random(seed)
@@ -439,7 +453,7 @@ def test_longest_chains_match_run_enumeration():
     """
     seen = Counter()
 
-    @settings(max_examples=150, derandomize=True, deadline=None)
+    @settings(max_examples=200, derandomize=True, deadline=None)
     @given(graph=H.random_graphs(), seed=st.integers(0, 2**32 - 1))
     def check(graph, seed):
         rng = random.Random(seed)

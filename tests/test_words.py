@@ -6,6 +6,7 @@ the defining relations until the closure stabilizes.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from raagkit import (
     EmptyWord,
     GraphMismatch,
     NotCyclicallyReduced,
+    NotReduced,
     UnknownGenerator,
     Word,
     WordSyntaxError,
@@ -27,6 +29,7 @@ from raagkit import (
     inverse,
     is_cyclically_reduced,
     is_reduced,
+    median,
     normal_form,
     power,
     reduce,
@@ -305,6 +308,56 @@ def test_normal_form_matches_greedy_scan():
         assert equal(Word(graph, x), Word(graph, y)) == (nf == oracle(y))
 
     check()
+
+
+def test_meet_matches_stripping_oracles():
+    """Cyclic reduction and medians through ``words._meet``, against ``helpers.py``.
+
+    The oracles are the strip loop ``helpers.cyclic_reduction_by_stripping``
+    and the median loop ``helpers.median_by_front_letters``.  Half the words
+    are ``p c p^-1`` with a long ``p``, since only about a quarter of random
+    words have a nonempty conjugator; ``y`` and ``z`` extend ``x`` by a common
+    stretch in two spellings, so that the meets are not all empty.
+    """
+    seen = Counter()
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(graph=H.random_graphs(), data=st.data())
+    def check(graph, data):
+        letters = st.integers(0, graph.letter_count - 1)
+
+        def draw_codes(max_size):
+            return bytes(data.draw(st.lists(letters, max_size=max_size)))
+
+        codes = draw_codes(12)
+        if data.draw(st.booleans()):
+            p = bytes(data.draw(st.lists(letters, min_size=4, max_size=20)))
+            codes = p + codes + _inv_codes(p)
+        core, conj = H.cyclic_reduction_by_stripping(graph, codes)
+        red = cyclically_reduce(Word(graph, codes))
+        assert (red.core.codes, red.conjugator.codes) == (_nf_of(graph, core), conj)
+        for word in (Word(graph, codes), Word(graph, _reduce_codes(graph, codes))):
+            stripped = not H.cyclic_reduction_by_stripping(graph, word.codes)[1]
+            assert is_cyclically_reduced(word) == (is_reduced(word) and stripped)
+            if word.is_identity:
+                continue
+            if not is_reduced(word) or not stripped:
+                error = NotCyclicallyReduced if is_reduced(word) else NotReduced
+                with pytest.raises(error):
+                    CyclicWord(word)
+            else:
+                CyclicWord(word)
+        seen.update(conjugated=len(conj) > 0)
+
+        x, common = draw_codes(8), draw_codes(9)
+        y = x + common + draw_codes(8)
+        z = x + bytes(data.draw(st.permutations(list(common)))) + draw_codes(8)
+        got = median(Word(graph, x), Word(graph, y), Word(graph, z)).codes
+        assert got == H.median_by_front_letters(graph, x, y, z)
+        seen.update(met=got != _nf_of(graph, x))
+
+    check()
+    assert seen["conjugated"] >= 60 and seen["met"] >= 150, seen
 
 
 # -- CyclicWord -------------------------------------------------------------
