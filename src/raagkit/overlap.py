@@ -17,7 +17,9 @@ Three tools live here: a direct scanner for one representative, an
 exhaustive breadth-first enumeration of the rotation/swap closure (one word
 per rotation class, since the scanner is rotation invariant), and a cheap
 projection certificate that often bounds the closure maximum without
-enumerating it.
+enumerating it.  Moves only permute letters, so the enumeration recognises a
+class by its rotations at one letter every class holds equally often, and
+it skips the scanner altogether when no generator occurs with both signs.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ from .words import (
     Word,
     _inv_codes,
     _least_rotation,
+    _rotations_at,
     cyclically_reduce,
     normal_form,
     power,
-    reduce,
 )
 
 DEFAULT_REPS_CAP = 200_000
@@ -66,19 +68,17 @@ def _pair_at(codes: bytes, length: int, mode: str) -> Optional[tuple[int, int]]:
     doubled = codes * 2
     # the inverse of doubled[i : i + length] is inv[2n - i - length : 2n - i]
     inv = _inv_codes(doubled)
-    occ: dict[bytes, list[int]] = {}
-    for j in range(n):
-        occ.setdefault(doubled[j : j + length], []).append(j)
+    # the windows starting at j = 0 .. n - 1
+    windows = doubled[: n + length - 1]
     for i in range(n):
-        hits = occ.get(inv[2 * n - i - length : 2 * n - i])
-        if not hits:
-            continue
-        for j in hits:
-            if mode == "disjoint" and ((j - i) % n < length or (i - j) % n < length):
-                continue
-            if i == j:
-                continue
-            return i, j
+        target = inv[2 * n - i - length : 2 * n - i]
+        j = windows.find(target)
+        while j >= 0:
+            if i != j and (
+                mode != "disjoint" or ((j - i) % n >= length and (i - j) % n >= length)
+            ):
+                return i, j
+            j = windows.find(target, j + 1)
     return None
 
 
@@ -152,16 +152,33 @@ def _closure_scan(
 ) -> tuple[int, Optional[Witness], int, bool]:
     """Breadth-first walk of the swap closure over rotation classes, scanning as it goes.
 
-    Each node is a rotation class, stored as its least rotation (``start``
-    must be one).  Its neighbours are the commuting swaps of two cyclically
-    adjacent letters, the wrap-around pair (last, first) included, each
-    brought back to its least rotation; rotation itself is not a move.  The
-    scanner is rotation invariant, so one probe per class, one length above
-    the current best, sees the whole closure (per-word lengths are downward
-    closed, so nothing is missed).  ``cap`` bounds the number of classes.
-    Returns (max, witness, classes, capped).
+    Each queued node is a rotation class, stored as its least rotation
+    (``start`` must be one).  Its neighbours are the commuting swaps of two
+    cyclically adjacent letters, the wrap-around pair (last, first)
+    included; rotation itself is not a move.  The scanner is rotation
+    invariant, so one probe per class, one length above the current best,
+    sees the whole closure (per-word lengths are downward closed, so
+    nothing is missed).  ``cap`` bounds the number of classes.
+
+    Classes are recognised without canonicalising every neighbour.  The key
+    letter ``r`` is the letter rarest in ``start`` (the least code among
+    the rarest).  Swaps and rotations only permute letters, so every class
+    of the closure holds ``r`` equally often; ``seen`` holds, for each
+    admitted class, all its rotations that begin with ``r``, so a neighbour
+    can be looked up by any one of them; the walk takes the one at its
+    first ``r``.  Only a new class pays for its ``r``-rotations and its
+    least rotation.  The queue order, and so the probes, the witness and
+    the classes a cap lets in, are those of keying every class by its least
+    rotation.
+
+    A length-1 overlap is a generator occurring with both signs, which the
+    closure cannot change; when ``start`` has none no class has one, and
+    the walk only counts classes.  Returns (max, witness, classes, capped).
     """
-    seen = {start}
+    n = len(start)
+    key = min(set(start), key=lambda c: (start.count(c), c))
+    probe = _pair_at(start, 1, mode) is not None
+    seen = set(_rotations_at(start, key))
     queue = [start]
     best = 0
     witness: Optional[Witness] = None
@@ -171,24 +188,26 @@ def _closure_scan(
     while head < len(queue):
         rep = queue[head]
         head += 1
-        best, raw = _raw_max_overlap(rep, mode, best)
-        if raw is not None:
-            witness = _witness_from(graph, rep, raw)
-        n = len(rep)
+        if probe:
+            best, raw = _raw_max_overlap(rep, mode, best)
+            if raw is not None:
+                witness = _witness_from(graph, rep, raw)
+        doubled = rep * 2
         for i in range(n):
-            j = (i + 1) % n
-            if (nc[rep[i]] >> rep[j]) & 1:
+            a, b = doubled[i], doubled[i + 1]
+            if (nc[a] >> b) & 1:
                 continue
-            swapped = bytearray(rep)
-            swapped[i], swapped[j] = rep[j], rep[i]
-            nb = _least_rotation(bytes(swapped))
+            # the word with a and b swapped, read from the letter after them
+            swapped = doubled[i + 2 : i + n] + bytes((b, a))
+            k = swapped.find(key)
+            nb = swapped[k:] + swapped[:k]
             if nb in seen:
                 continue
-            if len(seen) >= cap:
+            if len(queue) >= cap:
                 capped = True
                 continue
-            seen.add(nb)
-            queue.append(nb)
+            seen.update(_rotations_at(nb, key))
+            queue.append(_least_rotation(nb))
     return best, witness, len(queue), capped
 
 
@@ -256,13 +275,13 @@ def verify_key_lemma(
     the limit ``k -> oo``.
     """
     _check_mode(mode)
-    if reduce(g).is_identity:
+    core = cyclically_reduce(g).core
+    if core.is_identity:
         raise TrivialElement("overlap bounds concern nontrivial elements only")
     graph = g.graph
     reports = []
     for n in range(1, n_max + 1):
-        w = core_of_power(g, n)
-        start = w.canonical().codes
+        start = CyclicWord(normal_form(power(core, n))).canonical().codes
         best, witness, reps, capped = _closure_scan(graph, start, mode, reps_cap)
         bound = Fraction(len(start), 2 * n)
         reports.append(
@@ -359,7 +378,8 @@ def projection_overlap_bound(w: CyclicWord, mode: str = "disjoint") -> tuple[int
     _check_mode(mode)
     graph = w.graph
     codes = w.canonical().codes
-    support = tuple(v for v in graph.vertices if any(c >> 1 == graph.index[v] for c in codes))
+    gens = {c >> 1 for c in codes}
+    support = tuple(v for i, v in enumerate(graph.vertices) if i in gens)
     best: Optional[int] = None
     best_partition: tuple[tuple[str, ...], ...] = ()
     for partition in _support_classes(graph, support):

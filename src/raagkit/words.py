@@ -43,19 +43,34 @@ class Letter(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+# byte ``c`` maps to ``c ^ 1``: a letter to its inverse
+_INV_TABLE = bytes(c ^ 1 for c in range(256))
+
+
 def _inv_codes(codes: bytes) -> bytes:
-    return bytes(c ^ 1 for c in reversed(codes))
+    return codes[::-1].translate(_INV_TABLE)
+
+
+def _rotations_at(codes: bytes, letter: int) -> list[bytes]:
+    """The rotations of a coded cyclic word that start with ``letter``, by position."""
+    n = len(codes)
+    doubled = codes * 2
+    rotations = []
+    i = codes.find(letter)
+    while i >= 0:
+        rotations.append(doubled[i : i + n])
+        i = codes.find(letter, i + 1)
+    return rotations
 
 
 def _least_rotation(codes: bytes) -> bytes:
     """The least rotation of a nonempty coded cyclic word, in byte order.
 
-    A slice ``min`` over the doubled word: for the word lengths met here it
-    beats a pure-Python Booth's algorithm (and a list beats a generator).
+    It starts with the least letter, so only the rotations at that letter's
+    occurrences are compared.  A slice ``min`` beats a pure-Python Booth's
+    algorithm for the word lengths met here.
     """
-    n = len(codes)
-    doubled = codes * 2
-    return min([doubled[i : i + n] for i in range(n)])
+    return min(_rotations_at(codes, min(codes)))
 
 
 def _reduce_codes(graph: DefiningGraph, codes: bytes) -> bytes:

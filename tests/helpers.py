@@ -212,6 +212,71 @@ def cyclic_closure_max(names, edges, word: WordT, mode: str = "disjoint", cap: i
     )
 
 
+def pair_at_by_window_dict(codes: bytes, length: int, mode: str):
+    """``overlap._pair_at`` before it searched windows with ``bytes.find``.
+
+    Kept as an oracle: every window of the doubled word goes into a dict of
+    start positions, and the first (i, j) in scan order (i ascending, then
+    j) is returned.
+    """
+    n = len(codes)
+    if length < 1 or length > n or (mode == "disjoint" and 2 * length > n):
+        return None
+    doubled = codes * 2
+    inv = inv_letter_codes(doubled)
+    occ: dict[bytes, list[int]] = {}
+    for j in range(n):
+        occ.setdefault(doubled[j : j + length], []).append(j)
+    for i in range(n):
+        for j in occ.get(inv[2 * n - i - length : 2 * n - i], ()):
+            if mode == "disjoint" and ((j - i) % n < length or (i - j) % n < length):
+                continue
+            if i != j:
+                return i, j
+    return None
+
+
+def closure_scan_by_least_rotation(graph, start: bytes, mode: str, cap: int):
+    """``overlap._closure_scan`` before it keyed classes at one letter.
+
+    Kept as an oracle with the same signature and result: every neighbour
+    is brought to its least rotation and looked up in a set of least
+    rotations, and every class is probed.  Reuses the package's
+    non-commutation masks and its ``Witness`` builder, which only slices.
+    """
+    from raagkit.overlap import _witness_from
+
+    seen = {start}
+    queue = [start]
+    best = 0
+    witness = None
+    capped = False
+    head = 0
+    nc = graph._nc_mask
+    while head < len(queue):
+        rep = queue[head]
+        head += 1
+        while (hit := pair_at_by_window_dict(rep, best + 1, mode)) is not None:
+            best += 1
+            witness = _witness_from(graph, rep, (best, *hit))
+        n = len(rep)
+        for i in range(n):
+            j = (i + 1) % n
+            if (nc[rep[i]] >> rep[j]) & 1:
+                continue
+            swapped = bytearray(rep)
+            swapped[i], swapped[j] = rep[j], rep[i]
+            nb = min_rotation(bytes(swapped))
+            if nb in seen:
+                continue
+            if len(seen) >= cap:
+                capped = True
+                continue
+            seen.add(nb)
+            queue.append(nb)
+    return best, witness, len(queue), capped
+
+
 # ---------------------------------------------------------------------------
 # coloring oracle
 # ---------------------------------------------------------------------------

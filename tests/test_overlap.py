@@ -2,18 +2,21 @@
 
 The single-word scanner is pinned to a cubic-time oracle on letter tuples;
 closure maxima are pinned to a brute-force closure walk that shares no code
-with the package.
+with the package, and whole closure reports to the walk that keyed every
+class by its least rotation (``helpers.closure_scan_by_least_rotation``).
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import helpers as H
+from raagkit import overlap
 from raagkit import (
     CyclicWord,
     TrivialElement,
@@ -242,6 +245,68 @@ def test_closure_classes_match_brute_force(suite_graphs, case, n, mode):
         rep_t = to_tuples(r.witness.representative)
         assert min(rep_t[i:] + rep_t[:i] for i in range(len(rep_t))) in classes
         check_witness(None, r.witness, r.max_overlap_length, mode)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(
+    source=st.one_of(st.sampled_from(sorted(_SUITE_LETTERS)), H.random_graphs()),
+    seed=st.integers(0, 2**32 - 1),
+    n_max=st.sampled_from((1, 2, 3)),
+    mode=st.sampled_from(("disjoint", "any")),
+    reps_cap=st.sampled_from((1, 2, 5, 200_000)),
+)
+def test_closure_walk_matches_least_rotation_walk(suite_graphs, source, seed, n_max, mode, reps_cap):
+    """Whole reports against the walk that keys every class by its least rotation.
+
+    The oracle canonicalises every neighbour and probes every class, so the
+    maxima, witness bytes, class counts and ``cap_exceeded`` of capped and
+    uncapped walks must all agree with it.  Word lengths keep the closures
+    small: at most 12 letters in the largest power on the suite graphs,
+    and 9 on random graphs, which may be complete.
+    """
+    if isinstance(source, str):
+        graph, budget = suite_graphs[source], 12
+    else:
+        graph, budget = source, 9
+    rng = random.Random(seed)
+    length = min(6, budget // n_max)
+    g = Word.from_letters(
+        graph, [(rng.choice(graph.vertices), rng.choice((1, -1))) for _ in range(length)]
+    )
+    assume(not cyclically_reduce(g).core.is_identity)
+    got = [r.to_json_dict() for r in verify_key_lemma(g, n_max, reps_cap, mode)]
+    with mock.patch.object(overlap, "_closure_scan", H.closure_scan_by_least_rotation):
+        expected = [r.to_json_dict() for r in verify_key_lemma(g, n_max, reps_cap, mode)]
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "graph_name, text, mode, classes, maximum, probed",
+    [
+        # no generator occurs with both signs: the walk probes no class
+        ("c5", "abcde", "disjoint", [11, 67, 462], 0, False),
+        ("c5", "acBDea", "disjoint", [19, 193, 2356], 0, False),
+        ("k3_pendant", "abdcBD", "disjoint", [10, 115, 1820], 1, True),
+        ("k3_pendant", "abdcBD", "any", [10, 115, 1820], 1, True),
+    ],
+)
+def test_fixed_closures(suite_graphs, graph_name, text, mode, classes, maximum, probed):
+    """The benchmark's closures: class counts, maxima and which walks probe."""
+    probes = Counter()
+
+    def counting(codes, *args):
+        probes[codes] += 1
+        return H.pair_at_by_window_dict(codes, *args)
+
+    with mock.patch.object(overlap, "_pair_at", counting):
+        reports = verify_key_lemma(w(suite_graphs[graph_name], text), n_max=3, mode=mode)
+    assert [r.representatives_checked for r in reports] == classes
+    assert [r.max_overlap_length for r in reports] == [maximum] * 3
+    assert not any(r.cap_exceeded or r.violated for r in reports)
+    assert all((r.witness is not None) == (maximum > 0) for r in reports)
+    # every class is probed when any is; otherwise only each power's start,
+    # by the test that decides to skip
+    assert len(probes) == (sum(classes) if probed else 3)
 
 
 # -- projection certificates ------------------------------------------------
