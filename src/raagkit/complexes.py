@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 from .errors import InconsistentComplex, SideCountBelowFour, UnknownFace, UnknownVertex
@@ -93,6 +94,9 @@ class AngledComplex:
 
         self.face_order: tuple[VertexId, ...] = tuple(f for f, _, _ in faces)
         self.faces: dict[VertexId, tuple[tuple[int, ...], tuple[Fraction, ...]]] = {}
+        # each distinct angle string is parsed once; only str keys, since a
+        # float equal to a cached int would hit and skip its rejection
+        parsed: dict[str, Fraction] = {}
         for fid, boundary, angles in faces:
             _require_id("face", fid)
             if fid in self.faces:
@@ -112,7 +116,12 @@ class AngledComplex:
                 raise InconsistentComplex(
                     f"face {fid!r} has {len(boundary)} sides but {len(angles)} angles"
                 )
-            angles = [_parse_angle(a) for a in angles]
+            angles = [
+                (parsed[a] if a in parsed else parsed.setdefault(a, _parse_angle(a)))
+                if type(a) is str
+                else _parse_angle(a)
+                for a in angles
+            ]
             for i, signed in enumerate(boundary):
                 nxt = boundary[(i + 1) % len(boundary)]
                 if self._head(signed) != self._tail(nxt):
@@ -272,11 +281,22 @@ def gauss_bonnet_residual(x: AngledComplex) -> Fraction:
 
     The identity holds for arbitrary angle assignments: the angle terms
     cancel between vertex and face curvatures, and the link characteristics
-    telescope against the edge and face counts.
+    telescope against the edge and face counts.  Each curvature is summed
+    as an integer numerator over the lcm of the angle denominators, so the
+    result stays exact and only it is a ``Fraction``.
     """
-    total = sum((curvature_vertex(x, v) for v in x.vertices), Fraction(0))
-    total += sum((curvature_face(x, f) for f in x.face_order), Fraction(0))
-    return total - 2 * euler_characteristic(x)
+    den = lcm(*{c.angle.denominator for c in x.corners})
+
+    def angles_over_den(angles) -> int:
+        return sum(a.numerator * (den // a.denominator) for a in angles)
+
+    total = -2 * euler_characteristic(x) * den
+    for v in x.vertices:
+        chi = x.link_euler_characteristic(v)
+        total += (2 - chi) * den - angles_over_den(c.angle for c in x._corners_at[v])
+    for boundary, angles in x.faces.values():
+        total += angles_over_den(angles) - (len(boundary) - 2) * den
+    return Fraction(total, den)
 
 
 def genus_defect_from_faces(face_side_counts: list[int]) -> Fraction:

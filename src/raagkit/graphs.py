@@ -99,6 +99,20 @@ class DefiningGraph:
         self._lk_mask: list[int] = [
             sum(1 << j for j in self._adj[i]) for i in range(n)
         ]
+        # Word-parsing tables: a token ``name`` or ``name^-1`` to its code,
+        # and, by ordinal for ``str.translate``, a one-character name to its
+        # code as a character and its upper case, unless that is a vertex
+        # too, to the inverse's.
+        self._token_code: dict[str, int] = {}
+        self._char_code: dict[int, str] = {}
+        for i, v in enumerate(self.vertices):
+            self._token_code[v] = 2 * i
+            self._token_code[f"{v}^-1"] = 2 * i + 1
+            if len(v) == 1:
+                self._char_code[ord(v)] = chr(2 * i)
+                if v.upper() not in self.index:
+                    self._char_code[ord(v.upper())] = chr(2 * i + 1)
+        self._chars: frozenset[str] = frozenset(map(chr, self._char_code))
 
         self._hash = hash((self.vertices, self._edge_idx))
 

@@ -167,9 +167,10 @@ def _closure_scan(
     admitted class, all its rotations that begin with ``r``, so a neighbour
     can be looked up by any one of them; the walk takes the one at its
     first ``r``.  Only a new class pays for its ``r``-rotations and its
-    least rotation.  The queue order, and so the probes, the witness and
-    the classes a cap lets in, are those of keying every class by its least
-    rotation.
+    least rotation; the least letter is the same in every class too, so
+    when ``r`` is that letter the least rotation is the least of them.
+    The queue order, and so the probes, the witness and the classes a cap
+    lets in, are those of keying every class by its least rotation.
 
     A length-1 overlap is a generator occurring with both signs, which the
     closure cannot change; when ``start`` has none no class has one, and
@@ -177,6 +178,7 @@ def _closure_scan(
     """
     n = len(start)
     key = min(set(start), key=lambda c: (start.count(c), c))
+    key_is_least = key == min(start)
     probe = _pair_at(start, 1, mode) is not None
     seen = set(_rotations_at(start, key))
     queue = [start]
@@ -206,8 +208,9 @@ def _closure_scan(
             if len(queue) >= cap:
                 capped = True
                 continue
-            seen.update(_rotations_at(nb, key))
-            queue.append(_least_rotation(nb))
+            rots = _rotations_at(nb, key)
+            seen.update(rots)
+            queue.append(min(rots) if key_is_least else _least_rotation(nb))
     return best, witness, len(queue), capped
 
 

@@ -12,6 +12,13 @@ Two different notions of equality matter and are kept strictly apart:
 * ``Word.__eq__`` is structural — same graph, same letter sequence.  This is
   what sets and dict keys use.
 * :func:`equal` is equality in the group, decided by reducing ``w1 * w2^-1``.
+
+:meth:`Word.parse` reads text through two tables the graph builds once: the
+code of each token ``name`` and ``name^-1``, and the code of each
+one-character name and, when it is not a vertex itself, of its upper case.
+Text the tables do not cover (``name^k``, unknown names, malformed tokens)
+takes the token-by-token parser, which raises every parse error; an
+exponent too large to expand is a :class:`WordSyntaxError`.
 """
 
 from __future__ import annotations
@@ -243,13 +250,31 @@ class Word:
         * a single run of letters with upper case meaning inverse, e.g.
           ``"abAB"`` — available when the relevant vertices are single
           characters.
+
+        Two read-only tables of the graph do the common cases.  A run
+        whose characters all name letters is one ``str.translate`` through
+        ``graph._char_code``; tokens that are all ``name`` or ``name^-1`` are
+        one ``graph._token_code`` lookup each.  Anything else (another
+        exponent, an unknown name or character, a malformed token) is parsed
+        character by character or token by token, which also raises the
+        errors.  An exponent too large to expand is a
+        :class:`WordSyntaxError` naming its token.
         """
         text = text.strip()
         if text in ("", "1"):
             return cls.identity(graph)
         tokens = text.split()
         if len(tokens) == 1 and tokens[0].isalpha() and tokens[0] not in graph.index:
-            return cls._parse_compact(graph, tokens[0])
+            run = tokens[0]
+            if graph._chars.issuperset(run):
+                return cls(graph, run.translate(graph._char_code).encode("latin-1"))
+            return cls._parse_compact(graph, run)
+        try:
+            codes = bytes(map(graph._token_code.__getitem__, tokens))
+        except KeyError:  # a name^k token, an unknown name or a malformed token
+            pass
+        else:
+            return cls(graph, codes)
         codes = bytearray()
         for tok in tokens:
             m = _TOKEN_RE.match(tok)
@@ -259,8 +284,11 @@ class Word:
             i = graph.index.get(name)
             if i is None:
                 raise UnknownGenerator(f"unknown generator {name!r} in token {tok!r}")
-            exp = 1 if exp_s is None else int(exp_s)
-            codes.extend([2 * i + (exp < 0)] * abs(exp))
+            try:
+                exp = 1 if exp_s is None else int(exp_s)
+                codes += bytes((2 * i + (exp < 0),)) * abs(exp)
+            except (ValueError, OverflowError):
+                raise WordSyntaxError(f"exponent too large to expand in token {tok!r}") from None
         return cls(graph, bytes(codes))
 
     @classmethod

@@ -11,6 +11,7 @@ function in question).
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -136,6 +137,46 @@ def random_word(rng: random.Random, names, max_len: int) -> WordT:
     return tuple(
         (rng.choice(list(names)), rng.choice((1, -1))) for _ in range(length)
     )
+
+
+def parse_by_regex_tokens(graph, text: str) -> bytes:
+    """``Word.parse`` before it read the graph's tables, kept as an oracle.
+
+    Returns the letter codes, or raises what that parser raised: one regex
+    match per token, one ``graph.index`` lookup per compact character.
+    Exponents too large to expand fall outside it (it let ``OverflowError``
+    and ``int``'s ``ValueError`` escape there).
+    """
+    from raagkit import UnknownGenerator, WordSyntaxError
+
+    text = text.strip()
+    if text in ("", "1"):
+        return b""
+    tokens = text.split()
+    index = graph.index
+    codes = bytearray()
+    if len(tokens) == 1 and tokens[0].isalpha() and tokens[0] not in index:
+        run = tokens[0]
+        for ch in run:
+            i = index.get(ch)
+            if i is not None:
+                codes.append(2 * i)
+            elif ch.isupper() and (i := index.get(ch.lower())) is not None:
+                codes.append(2 * i + 1)
+            else:
+                raise UnknownGenerator(f"unknown generator {ch!r} in {run!r}")
+        return bytes(codes)
+    for tok in tokens:
+        m = re.match(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$", tok)
+        if not m:
+            raise WordSyntaxError(f"malformed token {tok!r}")
+        name, exp_s = m.group(1), m.group(2)
+        i = index.get(name)
+        if i is None:
+            raise UnknownGenerator(f"unknown generator {name!r} in token {tok!r}")
+        exp = 1 if exp_s is None else int(exp_s)
+        codes.extend([2 * i + (exp < 0)] * abs(exp))
+    return bytes(codes)
 
 
 # ---------------------------------------------------------------------------

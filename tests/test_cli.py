@@ -260,6 +260,14 @@ def test_bad_word_is_usage_error(p3_file):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("tok", ["a^100000000000000000000", "a^" + "9" * 5000])
+def test_oversized_exponent_is_usage_error(p3_file, tok):
+    code, out, err = run(["nf", p3_file, f"{tok} b"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: exponent too large to expand in token {tok!r}\n")
+    assert err.endswith("usage: raagkit nf [-h] graph word\n")
+
+
 def test_reps_cap_flag(p3_file):
     # aabbcc has 10 rotation classes in its closure at n = 1
     argv = ["verify-overlap", p3_file, "aabbcc", "--n-max", "1"]

@@ -12,6 +12,7 @@ from raagkit import (
     RaagError,
     TooLargeForExact,
     TooManyVertices,
+    UnknownGenerator,
     Word,
     check_max_chains,
     check_special_axioms,
@@ -49,6 +50,10 @@ def test_library_calls_leave_the_graph_unchanged(k3_pendant):
     """A defining graph is a plain value: no library call writes to it."""
     before = copy.deepcopy(vars(k3_pendant))
     g = Word.parse(k3_pendant, "bdBD")
+    Word.parse(k3_pendant, "a b^-1 d")
+    Word.parse(k3_pendant, "a^2 c")
+    with pytest.raises(UnknownGenerator):
+        Word.parse(k3_pendant, "a q^-1")
     check_special_axioms(k3_pendant, samples=100, radius=2)
     check_max_chains(k3_pendant, samples=20, radius=2)
     search_prop_noov_violation(g, radius=2, samples=20)

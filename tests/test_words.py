@@ -9,7 +9,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers as H
@@ -20,6 +20,7 @@ from raagkit import (
     GraphMismatch,
     NotCyclicallyReduced,
     NotReduced,
+    RaagError,
     UnknownGenerator,
     Word,
     WordSyntaxError,
@@ -88,6 +89,76 @@ def test_parse_error_messages(p3, text, error, message):
     with pytest.raises(error) as info:
         w(p3, text)
     assert str(info.value) == message
+
+
+#: ``a`` and ``A`` are both vertices, so ``A`` is not the inverse of ``a``
+MIXED_CASE = DefiningGraph(["a", "A", "b", "C"], [("a", "A"), ("b", "C")])
+#: multi-character names beside one-character ones, ``ab`` among them
+MULTI_CHAR = DefiningGraph(["a", "b", "ab", "v0", "u3", "x_1"], [("a", "v0"), ("ab", "u3")])
+
+
+_SPACE = st.text(st.sampled_from(" \t\n\u00a0"), max_size=2)
+
+
+@st.composite
+def graphs_and_word_texts(draw):
+    """A graph and a compact run or a token list over it, padded by mixed whitespace."""
+    graph = draw(st.one_of(H.random_graphs(), st.sampled_from([MIXED_CASE, MULTI_CHAR])))
+    names = list(graph.vertices)
+    if draw(st.booleans()):
+        chars = [v for v in names if len(v) == 1]
+        chars += [v.swapcase() for v in chars] + ["q", "Z", "\u00e9", "\u212a", "1"]
+        body = "".join(draw(st.lists(st.sampled_from(chars), max_size=8)))
+    else:
+        name = st.sampled_from(names)
+        token = st.one_of(
+            name,
+            name.map(lambda v: v + "^-1"),
+            st.tuples(name, st.integers(-3, 3)).map(lambda t: f"{t[0]}^{t[1]}"),
+        )
+        if draw(st.booleans()):  # else every token names a vertex
+            bad = ["q", "zz", "a1", "a^^2", "2b", "b^-x", "a^", "^1", "a^+1", "a-1"]
+            token = st.one_of(token, st.sampled_from(bad))
+        tokens = draw(st.lists(st.tuples(token, _SPACE), max_size=6))
+        body = "".join(tok + (sep or " ") for tok, sep in tokens)
+    return graph, draw(_SPACE) + body + draw(_SPACE)
+
+
+def test_parse_matches_regex_tokens():
+    """Table lookups give the old parser's codes, or its error class and message.
+
+    The oracle is ``helpers.parse_by_regex_tokens``.  Texts are compact runs
+    over the graph's one-character names, their other cases and unknown
+    characters, or token lists of ``name``, ``name^-1``, ``name^k`` for
+    ``-3 <= k <= 3``, unknown names and malformed tokens.  The examples pin
+    the two cases a table gets wrong most easily: an upper case that is a
+    vertex itself, and ``name^1``.
+    """
+
+    def outcome(parse, graph, text):
+        try:
+            return parse(graph, text)
+        except RaagError as exc:
+            return type(exc), str(exc)
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(case=graphs_and_word_texts())
+    @example(case=(MIXED_CASE, "aAbBC"))
+    @example(case=(MULTI_CHAR, "ab^1 a^-1 u3^1"))
+    def check(case):
+        graph, text = case
+        expected = outcome(H.parse_by_regex_tokens, graph, text)
+        assert outcome(lambda g, t: Word.parse(g, t).codes, graph, text) == expected
+
+    check()
+
+
+def test_parse_rejects_oversized_exponents(p3):
+    """An exponent too large to expand is a syntax error naming its token."""
+    for tok in ("a^100000000000000000000", "b^-9223372036854775808", "c^" + "7" * 5000):
+        with pytest.raises(WordSyntaxError) as info:
+            w(p3, f"a {tok} b")
+        assert str(info.value) == f"exponent too large to expand in token {tok!r}"
 
 
 def test_word_rejects_out_of_range_codes(p3):
