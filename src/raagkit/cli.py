@@ -42,12 +42,19 @@ def _at_least(least: int):
     return convert
 
 
-def _load_graph(path: str) -> DefiningGraph:
+def _read_input(kind: str, path: str) -> str:
+    """The text of a graph or complex file; a file that cannot be read is a RaagError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_graph(fh.read())
+            return fh.read()
     except OSError as exc:
-        raise RaagError(f"cannot read graph file {path}: {exc.strerror}")
+        raise RaagError(f"cannot read {kind} file {path}: {exc.strerror}") from None
+    except ValueError as exc:  # not UTF-8, or a NUL in the path
+        raise RaagError(f"cannot read {kind} file {path}: {exc}") from None
+
+
+def _load_graph(path: str) -> DefiningGraph:
+    return parse_graph(_read_input("graph", path))
 
 
 def _rat(q) -> str:
@@ -299,11 +306,7 @@ def _cmd_cube_chains(args, out: TextIO) -> int:
 
 
 def _cmd_gauss_bonnet(args, out: TextIO) -> int:
-    try:
-        with open(args.complex, "r", encoding="utf-8") as fh:
-            complex_ = parse_complex(fh.read())
-    except OSError as exc:
-        raise RaagError(f"cannot read complex file {args.complex}: {exc.strerror}")
+    complex_ = parse_complex(_read_input("complex", args.complex))
     chi = euler_characteristic(complex_)
     residual = gauss_bonnet_residual(complex_)
     curvature = residual + 2 * chi
@@ -335,9 +338,6 @@ def run(argv: list[str], out: Optional[TextIO] = None, err: Optional[TextIO] = N
     except RaagError as exc:
         print(f"error: {exc}", file=err)
         err.write(args.parser.format_usage())
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=err)
         return 2
 
 

@@ -8,7 +8,9 @@ values returned by this module are likewise rationals in units of pi.
 
 The link of a vertex has a node per incident edge-end (a loop contributes
 two) and an arc per corner at the vertex, joining the terminal end of one
-boundary edge to the initial end of the next.  Its Euler characteristic
+boundary edge to the initial end of the next.  Both ends are at the vertex,
+since every face boundary is checked to be a closed edge cycle, so a link is
+kept as two counts: edge-ends and corners.  Its Euler characteristic
 ``nodes - arcs`` distinguishes interior vertices (circle links, 0) from
 boundary vertices (arc links, 1) without special cases, and branching or
 isolated vertices are simply allowed.
@@ -17,6 +19,7 @@ isolated vertices are simply allowed.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -57,8 +60,6 @@ class Corner:
     position: int
     vertex: VertexId
     angle: Fraction
-    #: link arc endpoints: (edge id, end index) pairs at the corner's vertex
-    arc: tuple[tuple[int, int], tuple[int, int]]
 
 
 class AngledComplex:
@@ -77,7 +78,6 @@ class AngledComplex:
         self.vertices: tuple[VertexId, ...] = tuple(vertices)
         vertex_set = set(vertices)
 
-        self.edge_order: tuple[int, ...] = tuple(e for e, _ in edges)
         self.edges: dict[int, tuple[VertexId, VertexId]] = {}
         for eid, ends in edges:
             if not isinstance(eid, int) or isinstance(eid, bool) or eid == 0:
@@ -92,7 +92,6 @@ class AngledComplex:
                 raise InconsistentComplex(f"edge {eid} has unknown endpoint in {ends!r}")
             self.edges[eid] = (ends[0], ends[1])
 
-        self.face_order: tuple[VertexId, ...] = tuple(f for f, _, _ in faces)
         self.faces: dict[VertexId, tuple[tuple[int, ...], tuple[Fraction, ...]]] = {}
         # each distinct angle string is parsed once; only str keys, since a
         # float equal to a cached int would hit and skip its rejection
@@ -130,11 +129,16 @@ class AngledComplex:
                     )
             self.faces[fid] = (tuple(boundary), tuple(angles))
 
-        self.corners: tuple[Corner, ...] = tuple(self._build_corners())
+        self.corners: tuple[Corner, ...] = tuple(
+            Corner(fid, i, self._head(signed), angles[i])
+            for fid, (boundary, angles) in self.faces.items()
+            for i, signed in enumerate(boundary)
+        )
         self._corners_at: dict[VertexId, list[Corner]] = {v: [] for v in self.vertices}
         for corner in self.corners:
             self._corners_at[corner.vertex].append(corner)
-        self._links = self._build_links()
+        # the nodes of each link: edge-ends at the vertex, two for a loop
+        self._ends_at = Counter(v for ends in self.edges.values() for v in ends)
         occurrences: dict[int, int] = {e: 0 for e in self.edges}
         for boundary, _ in self.faces.values():
             for signed in boundary:
@@ -154,50 +158,13 @@ class AngledComplex:
         v, w = self.edges[abs(signed)]
         return w if signed > 0 else v
 
-    @staticmethod
-    def _terminal_end(signed: int) -> tuple[int, int]:
-        return (abs(signed), 1 if signed > 0 else 0)
-
-    @staticmethod
-    def _initial_end(signed: int) -> tuple[int, int]:
-        return (abs(signed), 0 if signed > 0 else 1)
-
-    # -- derived incidence data --------------------------------------------
-
-    def _build_corners(self):
-        for fid, (boundary, angles) in self.faces.items():
-            for i, signed in enumerate(boundary):
-                nxt = boundary[(i + 1) % len(boundary)]
-                yield Corner(
-                    face=fid,
-                    position=i,
-                    vertex=self._head(signed),
-                    angle=angles[i],
-                    arc=(self._terminal_end(signed), self._initial_end(nxt)),
-                )
-
-    def _build_links(self) -> dict[VertexId, tuple[int, int]]:
-        nodes: dict[VertexId, set[tuple[int, int]]] = {v: set() for v in self.vertices}
-        for eid, (v, w) in self.edges.items():
-            nodes[v].add((eid, 0))
-            nodes[w].add((eid, 1))
-        for corner in self.corners:
-            for end in corner.arc:
-                if end not in nodes[corner.vertex]:
-                    raise InconsistentComplex(
-                        f"corner of face {corner.face!r} at {corner.vertex!r} "
-                        f"touches edge-end {end!r} not incident to the vertex"
-                    )
-        return {v: (len(nodes[v]), len(self._corners_at[v])) for v in self.vertices}
-
     # -- queries ------------------------------------------------------------
 
     def link_euler_characteristic(self, v: VertexId) -> int:
         """nodes minus arcs of the link graph (0 for circles, 1 for arcs)."""
-        if v not in self._links:
+        if v not in self._corners_at:
             raise UnknownVertex(f"unknown vertex {v!r}")
-        n, a = self._links[v]
-        return n - a
+        return self._ends_at[v] - len(self._corners_at[v])
 
     def corners_at_vertex(self, v: VertexId) -> list[Corner]:
         if v not in self._corners_at:
@@ -231,14 +198,14 @@ class AngledComplex:
     def to_json_dict(self) -> dict:
         return {
             "vertices": list(self.vertices),
-            "edges": [{"id": e, "ends": list(self.edges[e])} for e in self.edge_order],
+            "edges": [{"id": e, "ends": list(ends)} for e, ends in self.edges.items()],
             "faces": [
                 {
                     "id": f,
-                    "boundary": list(self.faces[f][0]),
-                    "angles": [_angle_str(a) for a in self.faces[f][1]],
+                    "boundary": list(boundary),
+                    "angles": [_angle_str(a) for a in angles],
                 }
-                for f in self.face_order
+                for f, (boundary, angles) in self.faces.items()
             ],
         }
 
@@ -247,7 +214,7 @@ def parse_complex(text: str) -> AngledComplex:
     """Parse the JSON complex format (see the file-format docstring)."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also int()'s digit limit, deep nesting
         raise InconsistentComplex(f"invalid JSON: {exc}") from None
     return AngledComplex.from_json_dict(data)
 

@@ -4,6 +4,8 @@ A defining graph is a finite simplicial graph.  Vertices are generator names;
 an edge between two vertices means the corresponding generators commute.  The
 vertex order given at construction time is significant: it fixes the letter
 order used by normal forms and every deterministic tie-break downstream.
+The adjacency is kept once, as a bitmask of neighbours per vertex (its link):
+every query and search here, and the letter commutation masks, read it.
 
 The module also computes chromatic numbers (exact up to 24 vertices, DSATUR
 heuristic beyond) and finds triangles, both of which feed the lower-bound
@@ -62,7 +64,9 @@ class DefiningGraph:
         self.vertices: tuple[str, ...] = tuple(names)
         self.index: dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
 
-        edge_idx = set()
+        # bit j of _lk_mask[i] is set when vertices i and j share an edge
+        n = len(self.vertices)
+        lk = [0] * n
         for a, b in edges:
             if a not in self.index:
                 raise UnknownVertexInEdge(f"edge endpoint {a!r} is not a vertex")
@@ -70,35 +74,23 @@ class DefiningGraph:
                 raise UnknownVertexInEdge(f"edge endpoint {b!r} is not a vertex")
             if a == b:
                 raise LoopEdge(f"edge {a}-{b} is a loop")
-            i, j = sorted((self.index[a], self.index[b]))
-            edge_idx.add((i, j))
-        self._edge_idx: frozenset[tuple[int, int]] = frozenset(edge_idx)
+            i, j = self.index[a], self.index[b]
+            lk[i] |= 1 << j
+            lk[j] |= 1 << i
+        self._lk_mask: tuple[int, ...] = tuple(lk)
         self.edges: frozenset[tuple[str, str]] = frozenset(
-            (self.vertices[i], self.vertices[j]) for i, j in edge_idx
+            (v, self.vertices[j]) for i, v in enumerate(self.vertices)
+            for j in _indices(lk[i]) if i < j
         )
-
-        n = len(self.vertices)
-        self._adj: list[set[int]] = [set() for _ in range(n)]
-        for i, j in edge_idx:
-            self._adj[i].add(j)
-            self._adj[j].add(i)
 
         # Letter codes: generator i contributes code 2*i (positive) and
         # 2*i + 1 (inverse).  Byte comparison of coded words is then exactly
-        # the lexicographic letter order used by normal forms.
-        self._nc_mask: list[int] = []
-        for c in range(2 * n):
-            gen = c >> 1
-            mask = 0
-            for c2 in range(2 * n):
-                gen2 = c2 >> 1
-                if gen2 == gen or gen2 not in self._adj[gen]:
-                    mask |= 1 << c2
-            self._nc_mask.append(mask)
-        # Bitmask over generator indices adjacent to each generator.
-        self._lk_mask: list[int] = [
-            sum(1 << j for j in self._adj[i]) for i in range(n)
-        ]
+        # the lexicographic letter order used by normal forms.  Both letters
+        # of generator i commute with the letters of its neighbours only.
+        letters = (1 << 2 * n) - 1
+        self._nc_mask: tuple[int, ...] = tuple(
+            letters ^ sum(3 << 2 * j for j in _indices(lk[c >> 1])) for c in range(2 * n)
+        )
         # Word-parsing tables: a token ``name`` or ``name^-1`` to its code,
         # and, by ordinal for ``str.translate``, a one-character name to its
         # code as a character and its upper case, unless that is a vertex
@@ -114,7 +106,7 @@ class DefiningGraph:
                     self._char_code[ord(v.upper())] = chr(2 * i + 1)
         self._chars: frozenset[str] = frozenset(map(chr, self._char_code))
 
-        self._hash = hash((self.vertices, self._edge_idx))
+        self._hash = hash((self.vertices, self._lk_mask))
 
     # -- value semantics ----------------------------------------------------
 
@@ -122,7 +114,7 @@ class DefiningGraph:
         return (
             isinstance(other, DefiningGraph)
             and self.vertices == other.vertices
-            and self._edge_idx == other._edge_idx
+            and self._lk_mask == other._lk_mask
         )
 
     def __hash__(self) -> int:
@@ -153,14 +145,14 @@ class DefiningGraph:
         """True when ``a`` and ``b`` are distinct and joined by an edge."""
         i = self.require_vertex(a)
         j = self.require_vertex(b)
-        return j in self._adj[i]
+        return bool(self._lk_mask[i] >> j & 1)
 
     def neighbors(self, a: str) -> tuple[str, ...]:
         i = self.require_vertex(a)
-        return tuple(self.vertices[j] for j in sorted(self._adj[i]))
+        return tuple(self.vertices[j] for j in _indices(self._lk_mask[i]))
 
     def degree(self, a: str) -> int:
-        return len(self._adj[self.require_vertex(a)])
+        return self._lk_mask[self.require_vertex(a)].bit_count()
 
     # -- letter codes --------------------------------------------------------
 
@@ -177,6 +169,11 @@ class DefiningGraph:
 
     def codes_commute(self, c1: int, c2: int) -> bool:
         return not (self._nc_mask[c1] >> c2) & 1
+
+
+def _indices(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
 def adjacent(graph: DefiningGraph, a: str, b: str) -> bool:
@@ -254,15 +251,13 @@ def find_triangle(graph: DefiningGraph) -> Optional[tuple[str, str, str]]:
     Triples are scanned in vertex order, so the result is the first pairwise
     adjacent triple ``(u, v, w)`` with ``index(u) < index(v) < index(w)``.
     """
-    n = len(graph.vertices)
-    adj = graph._adj
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j not in adj[i]:
-                continue
-            for k in range(j + 1, n):
-                if k in adj[i] and k in adj[j]:
-                    return (graph.vertices[i], graph.vertices[j], graph.vertices[k])
+    lk = graph._lk_mask
+    for i, mask in enumerate(lk):
+        for j in _indices(mask):
+            above = (mask & lk[j]) >> (j + 1)
+            if j > i and above:
+                k = j + (above & -above).bit_length()
+                return (graph.vertices[i], graph.vertices[j], graph.vertices[k])
     return None
 
 
@@ -286,21 +281,22 @@ class Coloring:
 
 
 def _order_by_degree(graph: DefiningGraph) -> list[int]:
-    n = len(graph.vertices)
-    return sorted(range(n), key=lambda i: (-len(graph._adj[i]), i))
+    lk = graph._lk_mask
+    return sorted(range(len(lk)), key=lambda i: (-lk[i].bit_count(), i))
 
 
 def _greedy_clique(graph: DefiningGraph) -> list[int]:
     """Greedy max clique used as a chromatic lower bound (deterministic)."""
+    lk = graph._lk_mask
     order = _order_by_degree(graph)
     best: list[int] = []
     for start in order:
         clique = [start]
+        common = lk[start]  # the vertices adjacent to every clique member
         for v in order:
-            if v == start:
-                continue
-            if all(v in graph._adj[u] for u in clique):
+            if common >> v & 1:
                 clique.append(v)
+                common &= lk[v]
         if len(clique) > len(best):
             best = clique
     return best
@@ -308,7 +304,8 @@ def _greedy_clique(graph: DefiningGraph) -> list[int]:
 
 def _dsatur(graph: DefiningGraph) -> Coloring:
     """DSATUR coloring; ties break toward higher degree, then vertex order."""
-    n = len(graph.vertices)
+    lk = graph._lk_mask
+    n = len(lk)
     if n == 0:
         return Coloring({}, 0)
     color: dict[int, int] = {}
@@ -316,13 +313,13 @@ def _dsatur(graph: DefiningGraph) -> Coloring:
     while len(color) < n:
         pick = min(
             (i for i in range(n) if i not in color),
-            key=lambda i: (-len(neighbor_colors[i]), -len(graph._adj[i]), i),
+            key=lambda i: (-len(neighbor_colors[i]), -lk[i].bit_count(), i),
         )
         c = 0
         while c in neighbor_colors[pick]:
             c += 1
         color[pick] = c
-        for j in graph._adj[pick]:
+        for j in _indices(lk[pick]):
             neighbor_colors[j].add(c)
     k = 1 + max(color.values())
     return Coloring({graph.vertices[i]: color[i] for i in range(n)}, k)
@@ -346,20 +343,19 @@ def _try_color(graph: DefiningGraph, k: int, clique: list[int]) -> Optional[dict
     """
     if len(clique) > k:
         return None
-    adj = graph._adj
+    lk = graph._lk_mask
     full = (1 << k) - 1
-    forbid = [0] * len(graph.vertices)
+    forbid = [0] * len(lk)
     color: dict[int, int] = {}
     for idx, v in enumerate(clique):
         color[v] = idx
-        for u in adj[v]:
+        for u in _indices(lk[v]):
             forbid[u] |= 1 << idx
     rest = [v for v in _order_by_degree(graph) if v not in color]
     if any(forbid[v] == full for v in rest):
         return None
     # the uncolored neighbours of rest[pos] when it is colored are those later in rest
-    pos_of = {v: pos for pos, v in enumerate(rest)}
-    later = [[u for u in adj[v] if pos_of.get(u, -1) > pos] for pos, v in enumerate(rest)]
+    later = [_indices(lk[v] & sum(1 << u for u in rest[pos + 1 :])) for pos, v in enumerate(rest)]
 
     def assign(pos: int, used: int) -> bool:
         if pos == len(rest):

@@ -16,9 +16,10 @@ Two different notions of equality matter and are kept strictly apart:
 :meth:`Word.parse` reads text through two tables the graph builds once: the
 code of each token ``name`` and ``name^-1``, and the code of each
 one-character name and, when it is not a vertex itself, of its upper case.
-Text the tables do not cover (``name^k``, unknown names, malformed tokens)
-takes the token-by-token parser, which raises every parse error; an
-exponent too large to expand is a :class:`WordSyntaxError`.
+Token text the tables do not cover (``name^k``, unknown names, malformed
+tokens) takes the token-by-token parser, which raises every parse error; an
+exponent that would take the word past :data:`MAX_WORD_LETTERS` letters is
+a :class:`WordSyntaxError`, raised before anything is expanded.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ from .errors import (
 from .graphs import DefiningGraph
 
 _TOKEN_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
+
+#: Most letters a parsed word may reach by expanding ``name^k`` tokens.
+MAX_WORD_LETTERS = 1 << 20
 
 
 class Letter(NamedTuple):
@@ -253,12 +257,11 @@ class Word:
 
         Two read-only tables of the graph do the common cases.  A run
         whose characters all name letters is one ``str.translate`` through
-        ``graph._char_code``; tokens that are all ``name`` or ``name^-1`` are
-        one ``graph._token_code`` lookup each.  Anything else (another
-        exponent, an unknown name or character, a malformed token) is parsed
-        character by character or token by token, which also raises the
-        errors.  An exponent too large to expand is a
-        :class:`WordSyntaxError` naming its token.
+        ``graph._char_code``, and any other run names its first unknown
+        character; tokens that are all ``name`` or ``name^-1`` are one
+        ``graph._token_code`` lookup each.  Other tokens are parsed one by
+        one, which raises their errors; an exponent that would take the word
+        past :data:`MAX_WORD_LETTERS` letters is a :class:`WordSyntaxError`.
         """
         text = text.strip()
         if text in ("", "1"):
@@ -268,7 +271,8 @@ class Word:
             run = tokens[0]
             if graph._chars.issuperset(run):
                 return cls(graph, run.translate(graph._char_code).encode("latin-1"))
-            return cls._parse_compact(graph, run)
+            ch = next(ch for ch in run if ch not in graph._chars)
+            raise UnknownGenerator(f"unknown generator {ch!r} in {run!r}")
         try:
             codes = bytes(map(graph._token_code.__getitem__, tokens))
         except KeyError:  # a name^k token, an unknown name or a malformed token
@@ -284,25 +288,16 @@ class Word:
             i = graph.index.get(name)
             if i is None:
                 raise UnknownGenerator(f"unknown generator {name!r} in token {tok!r}")
-            try:
-                exp = 1 if exp_s is None else int(exp_s)
-                codes += bytes((2 * i + (exp < 0),)) * abs(exp)
-            except (ValueError, OverflowError):
-                raise WordSyntaxError(f"exponent too large to expand in token {tok!r}") from None
-        return cls(graph, bytes(codes))
-
-    @classmethod
-    def _parse_compact(cls, graph: DefiningGraph, run: str) -> "Word":
-        index = graph.index
-        codes = bytearray()
-        for ch in run:
-            i = index.get(ch)
-            if i is not None:
+            if exp_s is None:
                 codes.append(2 * i)
-            elif ch.isupper() and (i := index.get(ch.lower())) is not None:
-                codes.append(2 * i + 1)
-            else:
-                raise UnknownGenerator(f"unknown generator {ch!r} in {run!r}")
+                continue
+            try:
+                exp = int(exp_s)
+            except ValueError:  # more digits than int() converts
+                exp = None
+            if exp is None or len(codes) + abs(exp) > MAX_WORD_LETTERS:
+                raise WordSyntaxError(f"exponent too large to expand in token {tok!r}")
+            codes += bytes((2 * i + (exp < 0),)) * abs(exp)
         return cls(graph, bytes(codes))
 
     # -- structural value semantics ----------------------------------------

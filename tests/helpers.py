@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
@@ -30,13 +30,47 @@ def adj_set(names, edges):
 
 
 @st.composite
-def random_graphs(draw):
+def random_graph_data(draw):
+    """Vertex names (2 to 5 of them) and any edge list over them, as plain data."""
+    names = "abcde"[: draw(st.integers(2, 5))]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    return list(names), [e for e in pairs if draw(st.booleans())]
+
+
+def random_graphs():
     """A defining graph on 2 to 5 vertices with any edge set."""
     from raagkit import DefiningGraph
 
-    names = "abcde"[: draw(st.integers(2, 5))]
-    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
-    return DefiningGraph(list(names), [e for e in pairs if draw(st.booleans())])
+    return random_graph_data().map(lambda data: DefiningGraph(*data))
+
+
+def nc_masks_by_pairs(names, edges) -> list[int]:
+    """``DefiningGraph._nc_mask`` as built before the link masks, kept as an oracle.
+
+    Letter ``c2`` is in the mask of letter ``c`` when their generators are
+    equal or not adjacent, one set lookup per pair of letters.
+    """
+    adj = adj_set(names, edges)
+    letters = range(2 * len(names))
+    masks = []
+    for c in letters:
+        gen = names[c >> 1]
+        mask = 0
+        for c2 in letters:
+            gen2 = names[c2 >> 1]
+            if gen2 == gen or gen2 not in adj[gen]:
+                mask |= 1 << c2
+        masks.append(mask)
+    return masks
+
+
+def first_triangle_by_triples(names, edges):
+    """The first pairwise adjacent triple in vertex order, by brute force, or None."""
+    adj = adj_set(names, edges)
+    for u, v, w in combinations(names, 3):
+        if v in adj[u] and w in adj[u] and w in adj[v]:
+            return (u, v, w)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +179,10 @@ def parse_by_regex_tokens(graph, text: str) -> bytes:
     Returns the letter codes, or raises what that parser raised: one regex
     match per token, one ``graph.index`` lookup per compact character.
     Exponents too large to expand fall outside it (it let ``OverflowError``
-    and ``int``'s ``ValueError`` escape there).
+    and ``int``'s ``ValueError`` escape there).  One compact character
+    differs: U+212A KELVIN SIGN lower-cases to ``k``, so on a graph with a
+    vertex ``k`` this oracle reads it as ``k^-1``, while ``Word.parse``
+    raises ``UnknownGenerator`` for it.
     """
     from raagkit import UnknownGenerator, WordSyntaxError
 
@@ -362,7 +399,7 @@ def try_color_static(graph, k: int, clique: list[int]):
     rest = [v for v in _order_by_degree(graph) if v not in color]
 
     def feasible(v: int, c: int) -> bool:
-        return all(color.get(u) != c for u in graph._adj[v])
+        return all(color.get(u) != c for u in range(n) if graph._lk_mask[v] >> u & 1)
 
     def assign(pos: int, used: int) -> bool:
         if pos == len(rest):
@@ -974,6 +1011,30 @@ def genus2_octagon():
     return AngledComplex(["v"], edges, [("f", boundary, [Fraction(1, 4)] * 8)])
 
 
+def link_characteristics_by_node_sets(cx) -> dict:
+    """Each vertex's link as ``AngledComplex`` built it before link counts, kept as an oracle.
+
+    A node per edge-end ``(edge id, 0 or 1)`` at the vertex, two for a loop,
+    and an arc per corner, joining the terminal end of one boundary edge to
+    the initial end of the next; both ends must be nodes of that vertex.
+    Returns ``nodes - arcs`` per vertex.
+    """
+    nodes = {v: set() for v in cx.vertices}
+    for eid, (v, w) in cx.edges.items():
+        nodes[v].add((eid, 0))
+        nodes[w].add((eid, 1))
+    arcs = dict.fromkeys(cx.vertices, 0)
+    for boundary, _ in cx.faces.values():
+        for i, signed in enumerate(boundary):
+            nxt = boundary[(i + 1) % len(boundary)]
+            terminal = (abs(signed), 1 if signed > 0 else 0)
+            initial = (abs(nxt), 0 if nxt > 0 else 1)
+            v = cx.edges[abs(signed)][terminal[1]]
+            assert terminal in nodes[v] and initial in nodes[v]
+            arcs[v] += 1
+    return {v: len(nodes[v]) - arcs[v] for v in cx.vertices}
+
+
 def random_valid_complex(rng: random.Random):
     """A structurally valid complex with arbitrary rational angles.
 
@@ -992,12 +1053,10 @@ def random_valid_complex(rng: random.Random):
     from raagkit.complexes import AngledComplex
 
     faces = []
-    for fid in cx.face_order:
-        boundary, angles = cx.faces[fid]
+    for fid, (boundary, angles) in cx.faces.items():
         new_angles = [
             Fraction(rng.randint(-6, 12), rng.choice((1, 2, 3, 4, 6)))
             for _ in angles
         ]
         faces.append((fid, list(boundary), new_angles))
-    edges = [(e, cx.edges[e]) for e in cx.edge_order]
-    return AngledComplex(list(cx.vertices), edges, faces)
+    return AngledComplex(list(cx.vertices), list(cx.edges.items()), faces)

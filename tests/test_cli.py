@@ -13,6 +13,7 @@ import pytest
 
 import helpers as H
 from raagkit import cli
+from raagkit.words import MAX_WORD_LETTERS
 
 
 @pytest.fixture()
@@ -266,6 +267,48 @@ def test_oversized_exponent_is_usage_error(p3_file, tok):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: exponent too large to expand in token {tok!r}\n")
     assert err.endswith("usage: raagkit nf [-h] graph word\n")
+
+
+def test_exponent_past_the_expansion_cap_is_usage_error(p3_file):
+    tok = f"a^{MAX_WORD_LETTERS + 1}"
+    code, out, err = run(["nf", p3_file, tok])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: exponent too large to expand in token {tok!r}\n")
+    assert err.endswith("usage: raagkit nf [-h] graph word\n")
+
+
+def test_non_utf8_graph_file_is_usage_error(tmp_path):
+    path = tmp_path / "latin1.graph"
+    path.write_bytes(b"vertices: a \xe9\nedges:\n")
+    code, out, err = run(["nf", str(path), "a"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read graph file {path}: 'utf-8' codec can't decode")
+    assert err.endswith("usage: raagkit nf [-h] graph word\n")
+
+
+def test_nul_in_path_is_usage_error():
+    code, out, err = run(["nf", "p3\0.graph", "a"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read graph file p3\0.graph: embedded null")
+    assert err.endswith("usage: raagkit nf [-h] graph word\n")
+
+
+def test_unreadable_complex_files_are_usage_errors(tmp_path):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"vertices": ["\xe9"], "edges": [], "faces": []}')
+    overlong = tmp_path / "overlong.json"
+    overlong.write_text('{"vertices": [' + "1" * 5000 + '], "edges": [], "faces": []}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    for path, message in [
+        (latin1, f"error: cannot read complex file {latin1}: 'utf-8' codec can't decode"),
+        (overlong, "error: invalid JSON: "),
+        (deep, "error: invalid JSON: "),
+    ]:
+        code, out, err = run(["gauss-bonnet", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(message)
+        assert err.endswith("usage: raagkit gauss-bonnet [-h] complex.json\n")
 
 
 def test_reps_cap_flag(p3_file):

@@ -116,6 +116,28 @@ def test_corners_at_vertex_matches_linear_filter():
             cx.corners_at_vertex("nope")
 
 
+def test_link_counts_match_node_sets():
+    """Edge-ends minus corners is the node-minus-arc count of each link graph."""
+    rng = random.Random(0x11C)
+    complexes = [H.genus2_octagon()]
+    for m in range(1, 4):
+        for n in range(1, 4):
+            complexes += [H.torus_grid(m, n), H.disk_grid(m, n), H.annulus_grid(m, n)]
+    complexes += [H.random_valid_complex(rng) for _ in range(40)]
+    # three triangles on one edge cycle, a loop on no face, an isolated vertex
+    complexes.append(
+        AngledComplex(
+            ["u", "v", "w", "z"],
+            [(1, ("u", "v")), (2, ("v", "w")), (3, ("w", "u")), (4, ("u", "u"))],
+            [(f, [1, 2, 3], [Fraction(1, 3)] * 3) for f in ("f", "g", "h")],
+        )
+    )
+    for cx in complexes:
+        chi = {v: cx.link_euler_characteristic(v) for v in cx.vertices}
+        assert chi == H.link_characteristics_by_node_sets(cx)
+    assert chi == {"u": 1, "v": -1, "w": -1, "z": 0}
+
+
 # -- curvature --------------------------------------------------------------
 
 
@@ -201,6 +223,18 @@ def test_parse_complex_rejects_garbage():
         parse_complex("[]")
     with pytest.raises(InconsistentComplex):
         parse_complex('{"vertices": ["v"], "edges": []}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"vertices": [' + "1" * 5000 + '], "edges": [], "faces": []}', "[" * 100_000],
+    ids=["overlong-integer", "deep-nesting"],
+)
+def test_parse_complex_rejects_what_json_cannot_decode(text):
+    # json.loads raises a bare ValueError for an integer over int()'s digit
+    # limit and RecursionError for nesting deeper than the interpreter allows
+    with pytest.raises(InconsistentComplex, match="invalid JSON"):
+        parse_complex(text)
 
 
 def test_parse_complex_rejects_bad_angle():

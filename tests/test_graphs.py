@@ -62,6 +62,45 @@ def test_library_calls_leave_the_graph_unchanged(k3_pendant):
     assert vars(k3_pendant) == before
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(H.random_graph_data())
+def test_link_masks_match_edge_lists(data):
+    """Every adjacency query reads the link masks; each agrees with the edge list."""
+    names, edges = data
+    g = DefiningGraph(names, edges)
+    adj = H.adj_set(names, edges)
+    assert list(g._nc_mask) == H.nc_masks_by_pairs(names, edges)
+    assert g._lk_mask == tuple(sum(1 << names.index(u) for u in adj[v]) for v in names)
+    assert g.edges == frozenset(edges)  # drawn as (a, b) with a before b
+    for v in names:
+        assert g.neighbors(v) == tuple(u for u in names if u in adj[v])
+        assert g.degree(v) == len(adj[v])
+        assert [g.adjacent(v, u) for u in names] == [u in adj[v] for u in names]
+    assert find_triangle(g) == H.first_triangle_by_triples(names, edges)
+    flipped = DefiningGraph(names, [(b, a) for a, b in reversed(edges)])
+    assert flipped == g and hash(flipped) == hash(g)
+    pair = (names[0], names[-1])
+    toggled = [e for e in edges if e != pair] + ([] if pair in edges else [pair])
+    assert DefiningGraph(names, toggled) != g
+    assert DefiningGraph(names[::-1], edges) != g
+
+
+def test_find_triangle_matches_first_triple():
+    # larger graphs than random_graphs draws, so the bit arithmetic of
+    # find_triangle runs over more than five vertices
+    rng = random.Random(0x7A1)
+    found = 0
+    for _ in range(200):
+        n = rng.randint(3, 40)
+        names = [f"v{i}" for i in range(n)]
+        density = rng.choice((0.05, 0.1, 0.2))
+        edges = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :] if rng.random() < density]
+        tri = find_triangle(DefiningGraph(names, edges))
+        assert tri == H.first_triangle_by_triples(names, edges)
+        found += tri is not None
+    assert 0 < found < 200
+
+
 def test_rejects_bad_input():
     with pytest.raises(Exception):
         DefiningGraph(["a", "a"], [])

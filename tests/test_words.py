@@ -35,7 +35,7 @@ from raagkit import (
     power,
     reduce,
 )
-from raagkit.words import _inv_codes, _nf_of, _reduce_codes, _strip_suffix_in
+from raagkit.words import MAX_WORD_LETTERS, _inv_codes, _nf_of, _reduce_codes, _strip_suffix_in
 
 
 def w(graph, text):
@@ -159,6 +159,30 @@ def test_parse_rejects_oversized_exponents(p3):
         with pytest.raises(WordSyntaxError) as info:
             w(p3, f"a {tok} b")
         assert str(info.value) == f"exponent too large to expand in token {tok!r}"
+
+
+def test_parse_caps_expansion_before_allocating(p3):
+    """A token that would take the word past MAX_WORD_LETTERS letters is refused unexpanded."""
+    over = MAX_WORD_LETTERS + 1
+    for text, tok in [
+        (f"a^{over}", f"a^{over}"),
+        (f"b c^-{over}", f"c^-{over}"),
+        (f"b a^{MAX_WORD_LETTERS}", f"a^{MAX_WORD_LETTERS}"),
+    ]:
+        with pytest.raises(WordSyntaxError) as info:
+            w(p3, text)
+        assert str(info.value) == f"exponent too large to expand in token {tok!r}"
+
+
+def test_kelvin_sign_is_not_an_inverse():
+    """U+212A lower-cases to ``k``, but only ``K`` is the inverse of a vertex ``k``."""
+    g = DefiningGraph(["k", "a"], [])
+    assert w(g, "kK").codes == bytes([0, 1])
+    with pytest.raises(UnknownGenerator) as info:
+        w(g, "k\u212a")
+    assert str(info.value) == "unknown generator '\u212a' in 'k\u212a'"
+    # the old parser read it as k^-1; helpers.parse_by_regex_tokens keeps that
+    assert H.parse_by_regex_tokens(g, "k\u212a") == bytes([0, 1])
 
 
 def test_word_rejects_out_of_range_codes(p3):
