@@ -23,7 +23,7 @@ from .bounds import reference_bounds, scl_lower_bound
 from .complexes import euler_characteristic, gauss_bonnet_residual, parse_complex
 from .errors import RaagError
 from .graphs import DefiningGraph, chromatic_number, parse_graph
-from .overlap import DEFAULT_REPS_CAP, verify_key_lemma
+from .overlap import _MODES, DEFAULT_REPS_CAP, verify_key_lemma
 from .words import Word, cyclically_reduce, equal, normal_form
 
 DEFAULT_SEED = 0x5C1
@@ -128,7 +128,7 @@ def _build_parser() -> _Parser:
     p.add_argument("word")
     p.add_argument("--n-max", type=_at_least(1), default=4)
     p.add_argument("--reps-cap", type=_at_least(1), default=DEFAULT_REPS_CAP)
-    p.add_argument("--mode", choices=("disjoint", "any"), default="disjoint")
+    p.add_argument("--mode", choices=_MODES, default="disjoint")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("cube", help="half-space calculus helpers")

@@ -93,6 +93,7 @@ class AngledComplex:
             self.edges[eid] = (ends[0], ends[1])
 
         self.faces: dict[VertexId, tuple[tuple[int, ...], tuple[Fraction, ...]]] = {}
+        corners: list[Corner] = []
         # each distinct angle string is parsed once; only str keys, since a
         # float equal to a cached int would hit and skip its rejection
         parsed: dict[str, Fraction] = {}
@@ -122,18 +123,15 @@ class AngledComplex:
                 for a in angles
             ]
             for i, signed in enumerate(boundary):
-                nxt = boundary[(i + 1) % len(boundary)]
-                if self._head(signed) != self._tail(nxt):
+                head = self._head(signed)
+                if head != self._tail(boundary[(i + 1) % len(boundary)]):
                     raise InconsistentComplex(
                         f"face {fid!r} boundary is not a closed edge cycle at position {i}"
                     )
+                corners.append(Corner(fid, i, head, angles[i]))
             self.faces[fid] = (tuple(boundary), tuple(angles))
 
-        self.corners: tuple[Corner, ...] = tuple(
-            Corner(fid, i, self._head(signed), angles[i])
-            for fid, (boundary, angles) in self.faces.items()
-            for i, signed in enumerate(boundary)
-        )
+        self.corners: tuple[Corner, ...] = tuple(corners)
         self._corners_at: dict[VertexId, list[Corner]] = {v: [] for v in self.vertices}
         for corner in self.corners:
             self._corners_at[corner.vertex].append(corner)

@@ -56,7 +56,7 @@ class DefiningGraph:
             )
         seen = set()
         for name in names:
-            if not _NAME_RE.match(name):
+            if not isinstance(name, str) or not _NAME_RE.match(name):
                 raise GraphSyntaxError(f"invalid vertex name {name!r}")
             if name in seen:
                 raise DuplicateVertex(f"duplicate vertex {name!r}")
@@ -67,14 +67,18 @@ class DefiningGraph:
         # bit j of _lk_mask[i] is set when vertices i and j share an edge
         n = len(self.vertices)
         lk = [0] * n
-        for a, b in edges:
-            if a not in self.index:
+        for edge in edges:
+            try:
+                a, b = edge
+                i, j = self.index.get(a), self.index.get(b)
+            except (TypeError, ValueError):
+                raise GraphSyntaxError(f"malformed edge {edge!r}") from None
+            if i is None:
                 raise UnknownVertexInEdge(f"edge endpoint {a!r} is not a vertex")
-            if b not in self.index:
+            if j is None:
                 raise UnknownVertexInEdge(f"edge endpoint {b!r} is not a vertex")
-            if a == b:
+            if i == j:
                 raise LoopEdge(f"edge {a}-{b} is a loop")
-            i, j = self.index[a], self.index[b]
             lk[i] |= 1 << j
             lk[j] |= 1 << i
         self._lk_mask: tuple[int, ...] = tuple(lk)

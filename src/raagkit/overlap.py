@@ -20,14 +20,16 @@ projection certificate that often bounds the closure maximum without
 enumerating it.  Moves only permute letters, so the enumeration recognises a
 class by its rotations at one letter every class holds equally often, and
 it skips the scanner altogether when no generator occurs with both signs.
+The projection certificate tries singletons and then, on supports of up to
+5 generators, every partition into independent sets, or beyond that a
+chromatic coloring's classes, scanning each class once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import TrivialElement
 from .graphs import DefiningGraph, chromatic_number
@@ -309,63 +311,43 @@ def verify_key_lemma(
 # ---------------------------------------------------------------------------
 
 
-def _support_classes(graph: DefiningGraph, support: tuple[str, ...]) -> list[tuple[tuple[str, ...], ...]]:
-    """Candidate partitions of the support into mutually non-commuting classes.
+def _candidate_partitions(graph: DefiningGraph, gens: list[int]) -> Iterator[tuple[int, ...]]:
+    """Partitions of the support ``gens`` into independent sets, as class bitmasks.
 
-    Within a class no two generators may be adjacent (otherwise a commuting
-    swap could act inside the class and perturb the projection).  Such
-    classes are exactly the color classes of proper colorings of the induced
-    subgraph, so one candidate comes from a chromatic coloring; singletons
-    always qualify; for tiny supports every valid set partition is tried.
+    No two generators of a class may be adjacent (otherwise a commuting swap
+    could act inside the class and perturb the projection).  Singletons come
+    first.  Up to 5 generators every partition follows: each generator joins
+    each earlier class it has no edge to in turn, and only then opens a
+    class of its own.  Beyond that only the color classes of a chromatic
+    coloring of the induced subgraph follow (exact up to 8 generators).
     """
-    singletons = tuple((v,) for v in support)
-    candidates = [singletons]
-    induced_edges = {
-        frozenset((a, b)) for a, b in combinations(support, 2) if graph.adjacent(a, b)
-    }
-    if len(support) >= 2:
-        sub = DefiningGraph(support, [tuple(sorted(e)) for e in induced_edges])
-        mode = "exact" if len(support) <= 8 else "heuristic"
-        _, coloring, _ = chromatic_number(sub, mode=mode)
-        by_color: dict[int, list[str]] = {}
-        for v in support:
-            by_color.setdefault(coloring.assignment[v], []).append(v)
-        chromatic = tuple(tuple(part) for part in by_color.values())
-        if chromatic != singletons:
-            candidates.append(chromatic)
-    if 2 <= len(support) <= 5:
-        candidates.extend(_all_valid_partitions(support, induced_edges))
-    out = []
-    seen = set()
-    for cand in candidates:
-        key = tuple(sorted(cand))
-        if key not in seen:
-            seen.add(key)
-            out.append(cand)
-    return out
+    yield tuple(1 << v for v in gens)
+    lk = graph._lk_mask
+    if len(gens) > 5:
+        names = [graph.vertices[v] for v in gens]
+        edges = [
+            (a, b) for i, a in zip(gens, names) for j, b in zip(gens, names) if i < j and lk[i] >> j & 1
+        ]
+        mode = "exact" if len(gens) <= 8 else "heuristic"
+        _, coloring, _ = chromatic_number(DefiningGraph(names, edges), mode=mode)
+        classes: dict[int, int] = {}
+        for v, name in zip(gens, names):
+            color = coloring.assignment[name]
+            classes[color] = classes.get(color, 0) | 1 << v
+        yield tuple(classes.values())
+        return
 
-
-def _all_valid_partitions(
-    support: tuple[str, ...], induced_edges: set[frozenset[str]]
-) -> list[tuple[tuple[str, ...], ...]]:
-    results: list[tuple[tuple[str, ...], ...]] = []
-
-    def extend(rest: list[str], parts: list[list[str]]) -> None:
-        if not rest:
-            results.append(tuple(tuple(p) for p in parts))
+    def extend(pos: int, classes: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if pos == len(gens):
+            yield classes
             return
-        v, tail = rest[0], rest[1:]
-        for p in parts:
-            if all(frozenset((v, u)) not in induced_edges for u in p):
-                p.append(v)
-                extend(tail, parts)
-                p.pop()
-        parts.append([v])
-        extend(tail, parts)
-        parts.pop()
+        v = gens[pos]
+        for k, cls in enumerate(classes):
+            if not lk[v] & cls:
+                yield from extend(pos + 1, classes[:k] + (cls | 1 << v,) + classes[k + 1 :])
+        yield from extend(pos + 1, classes + (1 << v,))
 
-    extend(list(support), [])
-    return results
+    yield from extend(0, ())
 
 
 def projection_overlap_bound(w: CyclicWord, mode: str = "disjoint") -> tuple[int, tuple[tuple[str, ...], ...]]:
@@ -376,21 +358,24 @@ def projection_overlap_bound(w: CyclicWord, mode: str = "disjoint") -> tuple[int
     and turns rotations into rotations; an overlapping pair therefore
     projects to an overlapping pair in every class, and the lengths add up.
     Summing per-class scanner maxima hence bounds the whole closure.  The
-    smallest sum over candidate partitions is returned.
+    first of the candidate partitions with the smallest sum is returned,
+    its classes ordered by their first member; each class is scanned once.
     """
     _check_mode(mode)
     graph = w.graph
     codes = w.canonical().codes
-    gens = {c >> 1 for c in codes}
-    support = tuple(v for i, v in enumerate(graph.vertices) if i in gens)
-    best: Optional[int] = None
-    best_partition: tuple[tuple[str, ...], ...] = ()
-    for partition in _support_classes(graph, support):
-        total = 0
-        for part in partition:
-            gens = {graph.index[v] for v in part}
-            projected = bytes(c for c in codes if c >> 1 in gens)
-            total += _raw_max_overlap(projected, mode)[0]
-        if best is None or total < best:
-            best, best_partition = total, partition
-    return (0 if best is None else best), best_partition
+    gens = sorted({c >> 1 for c in codes})
+    scores: dict[int, int] = {}
+
+    def score(cls: int) -> int:
+        if cls not in scores:
+            scores[cls] = _raw_max_overlap(bytes(c for c in codes if cls >> (c >> 1) & 1), mode)[0]
+        return scores[cls]
+
+    best, partition = min(
+        ((sum(map(score, p)), p) for p in _candidate_partitions(graph, gens)), key=lambda t: t[0]
+    )
+    return best, tuple(
+        tuple(graph.vertices[v] for v in gens if cls >> v & 1)
+        for cls in sorted(partition, key=lambda cls: cls & -cls)
+    )

@@ -337,8 +337,6 @@ class Word:
         return inverse(self)
 
     def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return power(inverse(self), -n)
         return power(self, n)
 
     # -- rendering ----------------------------------------------------------

@@ -355,6 +355,86 @@ def closure_scan_by_least_rotation(graph, start: bytes, mode: str, cap: int):
     return best, witness, len(queue), capped
 
 
+def projection_candidates_by_names(graph, support: tuple[str, ...]):
+    """``overlap``'s candidate partitions before they were walked on bitmasks.
+
+    Kept as an oracle: singletons, then the classes of a chromatic coloring
+    of the induced subgraph (a throwaway ``DefiningGraph``), then for
+    supports of 2 to 5 every partition into independent sets, deduplicated
+    by name.  Each partition is a tuple of name tuples.
+    """
+    from raagkit import DefiningGraph, chromatic_number
+
+    singletons = tuple((v,) for v in support)
+    candidates = [singletons]
+    induced_edges = {
+        frozenset((a, b)) for a, b in combinations(support, 2) if graph.adjacent(a, b)
+    }
+    if len(support) >= 2:
+        sub = DefiningGraph(support, [tuple(sorted(e)) for e in induced_edges])
+        mode = "exact" if len(support) <= 8 else "heuristic"
+        _, coloring, _ = chromatic_number(sub, mode=mode)
+        by_color: dict[int, list[str]] = {}
+        for v in support:
+            by_color.setdefault(coloring.assignment[v], []).append(v)
+        chromatic = tuple(tuple(part) for part in by_color.values())
+        if chromatic != singletons:
+            candidates.append(chromatic)
+    if 2 <= len(support) <= 5:
+        results: list[tuple[tuple[str, ...], ...]] = []
+
+        def extend(rest: list[str], parts: list[list[str]]) -> None:
+            if not rest:
+                results.append(tuple(tuple(p) for p in parts))
+                return
+            v, tail = rest[0], rest[1:]
+            for p in parts:
+                if all(frozenset((v, u)) not in induced_edges for u in p):
+                    p.append(v)
+                    extend(tail, parts)
+                    p.pop()
+            parts.append([v])
+            extend(tail, parts)
+            parts.pop()
+
+        extend(list(support), [])
+        candidates.extend(results)
+    out = []
+    seen = set()
+    for cand in candidates:
+        key = tuple(sorted(cand))
+        if key not in seen:
+            seen.add(key)
+            out.append(cand)
+    return out
+
+
+def projection_bound_by_names(w, mode: str = "disjoint"):
+    """``overlap.projection_overlap_bound`` over the candidates above.
+
+    Same signature and result shape: the least sum of per-class scanner
+    maxima (``overlap._raw_max_overlap``, reused) and the first candidate
+    that reaches it; every class of every candidate is scanned afresh.
+    """
+    from raagkit.overlap import _raw_max_overlap
+
+    graph = w.graph
+    codes = w.canonical().codes
+    gens = {c >> 1 for c in codes}
+    support = tuple(v for i, v in enumerate(graph.vertices) if i in gens)
+    best = None
+    best_partition = ()
+    for partition in projection_candidates_by_names(graph, support):
+        total = 0
+        for part in partition:
+            members = {graph.index[v] for v in part}
+            projected = bytes(c for c in codes if c >> 1 in members)
+            total += _raw_max_overlap(projected, mode)[0]
+        if best is None or total < best:
+            best, best_partition = total, partition
+    return (0 if best is None else best), best_partition
+
+
 # ---------------------------------------------------------------------------
 # coloring oracle
 # ---------------------------------------------------------------------------

@@ -116,6 +116,20 @@ def test_corners_at_vertex_matches_linear_filter():
             cx.corners_at_vertex("nope")
 
 
+def test_corners_sit_at_edge_heads():
+    """Corners come face by face, position by position, each at the head of its edge."""
+    rng = random.Random(0x4EAD)
+    complexes = [H.torus_grid(3, 4), H.disk_grid(2, 3), H.annulus_grid(2, 3), H.genus2_octagon()]
+    complexes += [H.random_valid_complex(rng) for _ in range(20)]
+    for cx in complexes:
+        expected = [
+            (fid, i, cx.edges[abs(signed)][signed > 0], angles[i])
+            for fid, (boundary, angles) in cx.faces.items()
+            for i, signed in enumerate(boundary)
+        ]
+        assert [(c.face, c.position, c.vertex, c.angle) for c in cx.corners] == expected
+
+
 def test_link_counts_match_node_sets():
     """Edge-ends minus corners is the node-minus-arc count of each link graph."""
     rng = random.Random(0x11C)

@@ -9,6 +9,7 @@ import helpers as H
 from raagkit import (
     Coloring,
     DefiningGraph,
+    GraphSyntaxError,
     RaagError,
     TooLargeForExact,
     TooManyVertices,
@@ -102,12 +103,27 @@ def test_find_triangle_matches_first_triple():
 
 
 def test_rejects_bad_input():
-    with pytest.raises(Exception):
+    with pytest.raises(RaagError):
         DefiningGraph(["a", "a"], [])
-    with pytest.raises(Exception):
+    with pytest.raises(RaagError):
         DefiningGraph(["a"], [("a", "a")])
-    with pytest.raises(Exception):
+    with pytest.raises(RaagError):
         DefiningGraph(["a"], [("a", "b")])
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        ([1], [], "invalid vertex name 1"),
+        (["a", "b"], [("a",)], "malformed edge ('a',)"),
+        (["a", "b"], [(["a"], "b")], "malformed edge (['a'], 'b')"),
+    ],
+)
+def test_malformed_constructor_input_is_a_syntax_error(vertices, edges, message):
+    """A non-string name, a one-ended edge and an unhashable endpoint."""
+    with pytest.raises(GraphSyntaxError) as info:
+        DefiningGraph(vertices, edges)
+    assert str(info.value) == message
 
 
 def test_parse_graph_round_trip():

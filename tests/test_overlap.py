@@ -19,6 +19,7 @@ import helpers as H
 from raagkit import overlap
 from raagkit import (
     CyclicWord,
+    DefiningGraph,
     TrivialElement,
     Word,
     core_of_power,
@@ -360,6 +361,116 @@ def test_projection_bound_colors_large_supports(grotzsch):
     cw = cyc(grotzsch, "v3 v4 u3^-1 u1^-1 u4 u1 u3 z")
     bound, partition = projection_overlap_bound(cw, mode="any")
     assert (bound, len(partition)) == (2, 6)
+
+
+def _projection_sample(graph, seed, size, n):
+    """The core of ``g**n`` for a random ``g`` over ``size`` generators, or None.
+
+    Every chosen generator occurs in ``g``, so the support has ``size``
+    generators unless cancellation removes some.
+    """
+    rng = random.Random(seed)
+    gens = rng.sample(graph.vertices, min(size, len(graph.vertices)))
+    letters = [(v, rng.choice((1, -1))) for v in gens]
+    letters += [(rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(0, 6))]
+    rng.shuffle(letters)
+    g = Word.from_letters(graph, letters)
+    return None if cyclically_reduce(g).core.is_identity else core_of_power(g, n)
+
+
+def test_projection_bound_matches_name_candidates(suite_graphs, grotzsch):
+    """Bounds and certificates against the candidate lists built on names.
+
+    The oracle tries singletons, then a chromatic coloring's classes, then
+    (up to 5 generators) every partition into independent sets; the package
+    walks singletons and then either every partition or the coloring.  The
+    bounds must agree.  The partitions agree too, except where the oracle's
+    coloring ties with a partition that the walk reaches first.
+    """
+    graphs = dict(suite_graphs, grotzsch=grotzsch, edgeless8=DefiningGraph(list("abcdefgh"), []))
+    seen = Counter()
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        name=st.sampled_from(("p3", "c5", "k3_pendant", "edgeless8", "grotzsch")),
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 8),
+        n=st.sampled_from((1, 2, 3)),
+        mode=st.sampled_from(("disjoint", "any")),
+    )
+    # two of the rare ties: the coloring {v2, z}, {u2, u4} against the walk's
+    # {v2, u2, u4}, {z}, and {v3, z}, {u3, u4} against {v3, u3}, {u4}, {z}
+    @example(name="grotzsch", seed=100, size=4, n=1, mode="disjoint")
+    @example(name="grotzsch", seed=228, size=4, n=1, mode="any")
+    def check(name, seed, size, n, mode):
+        graph = graphs[name]
+        cw = _projection_sample(graph, seed, size, n)
+        assume(cw is not None)
+        codes = cw.canonical().codes
+        gens = {c >> 1 for c in codes}
+        support = tuple(v for i, v in enumerate(graph.vertices) if i in gens)
+        bound, partition = projection_overlap_bound(cw, mode)
+        expected_bound, expected = H.projection_bound_by_names(cw, mode)
+        assert bound == expected_bound
+        assert sorted(v for cls in partition for v in cls) == sorted(support)
+        firsts = [graph.index[cls[0]] for cls in partition]
+        assert firsts == sorted(firsts)
+        total = 0
+        for cls in partition:
+            assert list(cls) == sorted(cls, key=graph.index.get)
+            assert not any(graph.adjacent(a, b) for a in cls for b in cls if a != b)
+            members = {graph.index[v] for v in cls}
+            total += overlap._raw_max_overlap(bytes(c for c in codes if c >> 1 in members), mode)[0]
+        assert total == bound
+        if partition != expected:
+            # a tie: the oracle's second candidate, its coloring, reached the
+            # bound before the walk's first partition that does
+            candidates = H.projection_candidates_by_names(graph, support)
+            assert len(support) <= 5 and expected == candidates[1] and partition in candidates
+            seen.update(ties=1)
+        seen.update([len(support)])
+
+    check()
+    assert seen["ties"] >= 2 and all(seen[k] >= 3 for k in range(1, 9)), seen
+
+
+def test_projection_colors_only_large_supports(suite_graphs, grotzsch):
+    """Up to 5 generators no subgraph is built and no coloring is searched."""
+    rng = random.Random(0x5AB)
+    large = 0
+    for graph in (*suite_graphs.values(), grotzsch):
+        for _ in range(20):
+            cw = random_cyclic(rng, graph, 12)
+            support = {c >> 1 for c in cw.canonical().codes}
+            with mock.patch.object(
+                overlap, "chromatic_number", wraps=overlap.chromatic_number
+            ) as coloring, mock.patch.object(
+                overlap, "DefiningGraph", wraps=overlap.DefiningGraph
+            ) as subgraph:
+                got = projection_overlap_bound(cw, "any")
+            assert got[0] == H.projection_bound_by_names(cw, "any")[0]
+            called = len(support) > 5
+            assert (coloring.call_count, subgraph.call_count) == (called, called)
+            large += called
+    assert large >= 3
+
+
+def test_projection_scans_each_class_once(c5, grotzsch):
+    """A class shared by several candidate partitions is scanned once per call."""
+    rng = random.Random(0xC1A55)
+    raw = overlap._raw_max_overlap
+    for graph in (c5, grotzsch):
+        for _ in range(20):
+            cw = random_cyclic(rng, graph, 12)
+            scans = Counter()
+
+            def counting(codes, *args):
+                scans[codes] += 1
+                return raw(codes, *args)
+
+            with mock.patch.object(overlap, "_raw_max_overlap", counting):
+                projection_overlap_bound(cw)
+            assert scans and max(scans.values()) == 1
 
 
 # -- axis-reversal search ---------------------------------------------------
