@@ -101,6 +101,12 @@ class AngledComplex:
             _require_id("face", fid)
             if fid in self.faces:
                 raise InconsistentComplex(f"duplicate face id {fid!r}")
+            try:
+                boundary, angles = list(boundary), list(angles)
+            except TypeError:
+                raise InconsistentComplex(
+                    f"face {fid!r} boundary and angles must be sequences"
+                ) from None
             if not boundary:
                 raise InconsistentComplex(f"face {fid!r} has an empty boundary")
             for signed in boundary:

@@ -41,7 +41,6 @@ from typing import Optional
 from .errors import (
     ChainTooShort,
     EmptyWord,
-    GraphMismatch,
     NotCyclicallyReduced,
     NotInContext,
     NotNested,
@@ -56,6 +55,7 @@ from .words import (
     _meet,
     _nf_of,
     _reduce_codes,
+    _require_same_graph,
     _strip_suffix_in,
     is_cyclically_reduced,
     normal_form,
@@ -171,16 +171,12 @@ def member(x: Word, hs: HalfSpace) -> bool:
     is nearer the head ``base*a`` exactly when the reduced word from ``x``
     to the base can be shuffled to end in ``a^-1``: one reduction decides.
     """
-    if x.graph != hs.graph:
-        raise GraphMismatch("vertex and half-space live over different graphs")
-    return _member_codes(x.graph, x.codes, hs)
+    return _member_codes(_require_same_graph(x, hs), x.codes, hs)
 
 
 def act(f: Word, hs: HalfSpace) -> HalfSpace:
     """Translate a half-space by a group element (label and sign preserved)."""
-    graph = hs.graph
-    if f.graph != graph:
-        raise GraphMismatch("element and half-space live over different graphs")
+    graph = _require_same_graph(f, hs)
     base = _canon_base(graph, f.codes + hs.base_codes, hs.label_index)
     return HalfSpace(graph, base, hs.label_index, hs.sign)
 
@@ -217,10 +213,7 @@ class Interval:
     """
 
     def __init__(self, start: Word, end: Word):
-        if start.graph != end.graph:
-            raise GraphMismatch("interval endpoints live over different graphs")
-        graph = start.graph
-        self.graph = graph
+        self.graph = graph = _require_same_graph(start, end)
         self.start = normal_form(start)
         self.end = normal_form(end)
 
@@ -423,9 +416,7 @@ def median(x: Word, y: Word, z: Word) -> Word:
     of reduced words (their greatest common trace prefix), returned in
     normal form.
     """
-    if x.graph != y.graph or x.graph != z.graph:
-        raise GraphMismatch("median arguments live over different graphs")
-    graph = x.graph
+    graph = _require_same_graph(x, y, z)
     x_inv = _inv_codes(x.codes)
     u = _reduce_codes(graph, x_inv + y.codes)
     v = _reduce_codes(graph, x_inv + z.codes)
@@ -455,9 +446,7 @@ def hyperplanes_cross(h: HalfSpace, k: HalfSpace) -> bool:
     from ``u = reduce(b_h^-1 b_k)`` and checking the remainder lies in the
     second link's subgroup.
     """
-    if h.graph != k.graph:
-        raise GraphMismatch("half-spaces live over different graphs")
-    graph = h.graph
+    graph = _require_same_graph(h, k)
     if not (graph._lk_mask[h.label_index] >> k.label_index) & 1:
         return False
     u = _reduce_codes(graph, _inv_codes(h.base_codes) + k.base_codes)
@@ -466,11 +455,9 @@ def hyperplanes_cross(h: HalfSpace, k: HalfSpace) -> bool:
 
 def _nesting(h: HalfSpace, k: HalfSpace) -> tuple[Optional[int], bytes]:
     """The nesting direction of :func:`nested_globally`, with ``u = reduce(b_h^-1 b_k)``."""
-    if h.graph != k.graph:
-        raise GraphMismatch("half-spaces live over different graphs")
+    graph = _require_same_graph(h, k)
     if h.wall_key() == k.wall_key():
         return None, b""
-    graph = h.graph
     u = _reduce_codes(graph, _inv_codes(h.base_codes) + k.base_codes)
     if (graph._lk_mask[h.label_index] >> k.label_index) & 1 and _walls_cross(graph, h, k, u):
         return None, u
@@ -565,9 +552,7 @@ def in_a_g_plus(g: Word, hs: HalfSpace) -> bool:
     at most once, so probing the two window endpoints decides it.
     """
     _require_cyclically_reduced(g)
-    if g.graph != hs.graph:
-        raise GraphMismatch("element and half-space live over different graphs")
-    graph = g.graph
+    graph = _require_same_graph(g, hs)
     if not any(c >> 1 == hs.label_index for c in g.codes):
         return False  # the axis only crosses hyperplanes labeled by letters of g
     pos = g.codes * _axis_window(g, hs)
@@ -641,15 +626,15 @@ def check_special_axioms(
     """
     rng = random.Random(seed)
     pool = ball(graph, radius)
-    letters = [(name, sign) for name in graph.vertices for sign in (1, -1)]
+    n_letters = graph.letter_count
     report = SpecialAxiomsReport(radius=radius, samples=samples, seed=seed)
     counts = {"s1": 0, "s2": 0, "s3": 0, "s4": 0, "s4_eligible": 0}
-    if not letters:
+    if not n_letters:
         report.checked = counts
         return report
     for _ in range(samples):
-        h = halfspace_of_edge(rng.choice(pool), rng.choice(letters))
-        k = halfspace_of_edge(rng.choice(pool), rng.choice(letters))
+        h = _halfspace_at(graph, rng.choice(pool).codes, rng.randrange(n_letters))
+        k = _halfspace_at(graph, rng.choice(pool).codes, rng.randrange(n_letters))
         f = rng.choice(pool)
 
         f_h_bar = act(f, h.complement())

@@ -32,7 +32,7 @@ from .errors import (
     UnknownVertexInEdge,
 )
 
-_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 #: Largest vertex count for which ``chromatic_number(..., mode="exact")`` runs.
 EXACT_CHROMATIC_CAP = 24
@@ -45,18 +45,23 @@ class DefiningGraph:
     """A finite simplicial graph with an ordered vertex list.
 
     Instances are value objects: equality and hashing look only at the vertex
-    order and the edge set.
+    order and the edge set.  Construction makes every check of a graph's
+    content (names, duplicate vertices, edge shape and endpoints, loops and
+    the vertex limit), for parsed and built graphs alike.
     """
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str]]):
-        names = list(vertices)
+        try:
+            names, edges = list(vertices), list(edges)
+        except TypeError:
+            raise GraphSyntaxError("vertices and edges must be iterables") from None
         if len(names) > MAX_VERTICES:
             raise TooManyVertices(
                 f"{len(names)} vertices exceeds the limit of {MAX_VERTICES}"
             )
         seen = set()
         for name in names:
-            if not isinstance(name, str) or not _NAME_RE.match(name):
+            if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
                 raise GraphSyntaxError(f"invalid vertex name {name!r}")
             if name in seen:
                 raise DuplicateVertex(f"duplicate vertex {name!r}")
@@ -136,9 +141,6 @@ class DefiningGraph:
 
     # -- queries -------------------------------------------------------------
 
-    def has_vertex(self, name: str) -> bool:
-        return name in self.index
-
     def require_vertex(self, name: str) -> int:
         try:
             return self.index[name]
@@ -164,15 +166,8 @@ class DefiningGraph:
     def letter_count(self) -> int:
         return 2 * len(self.vertices)
 
-    def code(self, name: str, sign: int) -> int:
-        i = self.require_vertex(name)
-        return 2 * i + (0 if sign > 0 else 1)
-
     def decode(self, code: int) -> tuple[str, int]:
         return self.vertices[code >> 1], (1 if code % 2 == 0 else -1)
-
-    def codes_commute(self, c1: int, c2: int) -> bool:
-        return not (self._nc_mask[c1] >> c2) & 1
 
 
 def _indices(mask: int) -> list[int]:
@@ -194,13 +189,17 @@ def parse_graph(text: str) -> DefiningGraph:
         vertices: a b c
         edges: a-b b-c
 
-    Vertex names match ``[A-Za-z][A-Za-z0-9_]*``; the vertex order in the file
-    is the canonical order.  The edge list may be empty.  Parsing is strict:
-    every malformed or duplicate item raises with the offending line number.
+    The vertex order in the file is the canonical order.  The edge list may
+    be empty.  The parser reads the file's structure: the ``vertices:`` and
+    ``edges:`` lines in that order, comments and blank lines, the ``a-b``
+    shape of each edge token, and no edge listed twice; these errors name
+    their line.  Names, duplicate vertices, edge endpoints, loops and the
+    vertex limit are checked by :class:`DefiningGraph`, as for every graph.
     """
+    if not isinstance(text, str):
+        raise GraphSyntaxError(f"a graph is parsed from a string, not {type(text).__name__}")
     vertices: Optional[list[str]] = None
-    edges: list[tuple[str, str]] = []
-    edges_seen = False
+    edges: Optional[list[tuple[str, ...]]] = None
     seen_pairs: set[frozenset[str]] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -210,41 +209,27 @@ def parse_graph(text: str) -> DefiningGraph:
         if vertices is None:
             if not line.startswith("vertices:"):
                 raise GraphSyntaxError(f"line {lineno}: expected 'vertices:' line")
-            names = line[len("vertices:"):].split()
-            for name in names:
-                if not _NAME_RE.match(name):
-                    raise GraphSyntaxError(f"line {lineno}: invalid vertex name {name!r}")
-                if names.count(name) > 1:
-                    raise DuplicateVertex(f"line {lineno}: duplicate vertex {name!r}")
-            vertices = names
+            vertices = line[len("vertices:"):].split()
             continue
-        if not edges_seen:
+        if edges is None:
             if not line.startswith("edges:"):
                 raise GraphSyntaxError(f"line {lineno}: expected 'edges:' line")
-            tokens = line[len("edges:"):].split()
-            for tok in tokens:
+            edges = []
+            for tok in line[len("edges:"):].split():
                 parts = tok.split("-")
                 if len(parts) != 2:
                     raise GraphSyntaxError(f"line {lineno}: malformed edge token {tok!r}")
-                a, b = parts
-                if a not in vertices:
-                    raise UnknownVertexInEdge(f"line {lineno}: unknown vertex {a!r} in edge {tok!r}")
-                if b not in vertices:
-                    raise UnknownVertexInEdge(f"line {lineno}: unknown vertex {b!r} in edge {tok!r}")
-                if a == b:
-                    raise LoopEdge(f"line {lineno}: loop edge {tok!r}")
-                pair = frozenset((a, b))
+                pair = frozenset(parts)
                 if pair in seen_pairs:
                     raise GraphSyntaxError(f"line {lineno}: duplicate edge {tok!r}")
                 seen_pairs.add(pair)
-                edges.append((a, b))
-            edges_seen = True
+                edges.append(tuple(parts))
             continue
         raise GraphSyntaxError(f"line {lineno}: unexpected content after edge list")
 
     if vertices is None:
         raise GraphSyntaxError("missing 'vertices:' line")
-    if not edges_seen:
+    if edges is None:
         raise GraphSyntaxError("missing 'edges:' line")
     return DefiningGraph(vertices, edges)
 

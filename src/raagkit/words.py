@@ -233,13 +233,18 @@ class Word:
 
     @classmethod
     def from_letters(cls, graph: DefiningGraph, letters: Iterable[Letter | tuple[str, int]]) -> "Word":
+        """A word from ``(name, sign)`` pairs, sign +1 or -1; anything else is a WordSyntaxError."""
         codes = bytearray()
-        for name, sign in letters:
-            if sign not in (1, -1):
-                raise WordSyntaxError(f"letter sign must be +1 or -1, got {sign!r}")
-            if not graph.has_vertex(name):
-                raise UnknownGenerator(f"unknown generator {name!r}")
-            codes.append(graph.code(name, sign))
+        try:
+            for name, sign in letters:
+                if sign not in (1, -1):
+                    raise WordSyntaxError(f"letter sign must be +1 or -1, got {sign!r}")
+                i = graph.index.get(name)
+                if i is None:
+                    raise UnknownGenerator(f"unknown generator {name!r}")
+                codes.append(2 * i + (sign < 0))
+        except (TypeError, ValueError):  # not iterable, not a pair, or an unhashable name
+            raise WordSyntaxError("letters must be (name, sign) pairs") from None
         return cls(graph, bytes(codes))
 
     @classmethod
@@ -263,6 +268,8 @@ class Word:
         one, which raises their errors; an exponent that would take the word
         past :data:`MAX_WORD_LETTERS` letters is a :class:`WordSyntaxError`.
         """
+        if not isinstance(text, str):
+            raise WordSyntaxError(f"a word is parsed from a string, not {type(text).__name__}")
         text = text.strip()
         if text in ("", "1"):
             return cls.identity(graph)
@@ -360,11 +367,12 @@ class Word:
         return f"Word({self.display()!r})"
 
 
-def _require_same_graph(*words: Word) -> DefiningGraph:
-    graph = words[0].graph
-    for w in words[1:]:
-        if w.graph != graph:
-            raise GraphMismatch("words live over different defining graphs")
+def _require_same_graph(*operands) -> DefiningGraph:
+    """The common graph of words or half-spaces; :class:`GraphMismatch` if they differ."""
+    graph = operands[0].graph
+    for x in operands[1:]:
+        if x.graph != graph:
+            raise GraphMismatch("operands live over different defining graphs")
     return graph
 
 

@@ -64,10 +64,12 @@ def test_disk_has_boundary():
         (["v"], [(1, ("v", "v"))], [("f", [], [])]),  # empty boundary
         (["v"], [(1, ("v", "v"))], [("f", [2], [Fraction(1)])]),  # unknown edge
         (["v"], [(1, ("v", "v"))], [("f", [1], [Fraction(1)] * 2)]),  # angle count
+        (["v"], [(1, ("v", "v"))], [("f", 1, [1])]),  # boundary not a sequence
+        (["v"], [(1, ("v", "v"))], [("f", [1], None)]),  # angles not a sequence
     ],
 )
 def test_validation_rejects(vertices, edges, faces):
-    with pytest.raises(Exception):
+    with pytest.raises(InconsistentComplex):
         AngledComplex(vertices, edges, faces)
 
 

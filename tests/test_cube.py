@@ -27,6 +27,7 @@ import helpers as H
 from raagkit import (
     ChainTooShort,
     DefiningGraph,
+    GraphMismatch,
     NotInContext,
     NotNested,
     UnknownGenerator,
@@ -110,7 +111,41 @@ def test_halfspace_of_edge_letter_errors(p3):
         halfspace_of_edge(x, ("z", 1))
     with pytest.raises(UnknownGenerator, match=r"^expected a single letter, got 'ab'$"):
         halfspace_of_edge(x, "ab")
+    for letter in (7, (["a"], 1), ("a",)):
+        with pytest.raises(WordSyntaxError, match=r"^letters must be \(name, sign\) pairs$"):
+            halfspace_of_edge(x, letter)
     assert halfspace_of_edge(x, ("a", -1)) == halfspace_of_edge(x, "A")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "member",
+        "act",
+        "interval",
+        "median",
+        "hyperplanes_cross",
+        "nested_globally",
+        "tightly_nested_globally",
+        "in_a_g_plus",
+    ],
+)
+def test_cube_entry_points_reject_mixed_graphs(entry, p3, c4):
+    """Each entry point takes its operands over one graph; both graphs here have a vertex 'a'."""
+    x, y = w(p3, "a"), w(c4, "a")
+    h, k = halfspace_of_edge(x, "a"), halfspace_of_edge(y, "a")
+    calls = {
+        "member": lambda: member(y, h),
+        "act": lambda: act(y, h),
+        "interval": lambda: interval(x, y),
+        "median": lambda: median(x, x, y),
+        "hyperplanes_cross": lambda: hyperplanes_cross(h, k),
+        "nested_globally": lambda: nested_globally(h, k),
+        "tightly_nested_globally": lambda: tightly_nested_globally(h, k),
+        "in_a_g_plus": lambda: in_a_g_plus(y, h),
+    }
+    with pytest.raises(GraphMismatch, match=r"^operands live over different defining graphs$"):
+        calls[entry]()
 
 
 def test_same_wall_both_orientations(edgeless2):
@@ -587,6 +622,8 @@ def test_check_special_axioms_small(p3):
     assert d["ok"] is True
     assert d["violations"] == []
     assert d["checked"]["s2"] == 60
+    # pins the sampled half-spaces: drawing letters another way moves this count
+    assert check_special_axioms(p3, samples=600, radius=2, seed=1).checked["s4_eligible"] == 42
 
 
 def test_check_max_chains_small(p3):

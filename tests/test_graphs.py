@@ -9,11 +9,14 @@ import helpers as H
 from raagkit import (
     Coloring,
     DefiningGraph,
+    DuplicateVertex,
     GraphSyntaxError,
+    LoopEdge,
     RaagError,
     TooLargeForExact,
     TooManyVertices,
     UnknownGenerator,
+    UnknownVertexInEdge,
     Word,
     check_max_chains,
     check_special_axioms,
@@ -117,10 +120,13 @@ def test_rejects_bad_input():
         ([1], [], "invalid vertex name 1"),
         (["a", "b"], [("a",)], "malformed edge ('a',)"),
         (["a", "b"], [(["a"], "b")], "malformed edge (['a'], 'b')"),
+        (["a\n"], [], "invalid vertex name 'a\\n'"),
+        (None, [], "vertices and edges must be iterables"),
+        (["a"], None, "vertices and edges must be iterables"),
     ],
 )
 def test_malformed_constructor_input_is_a_syntax_error(vertices, edges, message):
-    """A non-string name, a one-ended edge and an unhashable endpoint."""
+    """Bad names, a one-ended edge, an unhashable endpoint, no vertex or edge list."""
     with pytest.raises(GraphSyntaxError) as info:
         DefiningGraph(vertices, edges)
     assert str(info.value) == message
@@ -146,11 +152,54 @@ def test_parse_graph_comments_and_blank_lines():
         "vertices: a a\nedges:",
         "vertices: a b\nedges: a-b\nvertices: c",
         "vertices: a b\nedges: a=b",
+        "vertices: a 1b\nedges:",
+        "vertices: a b\nedges: c-a",
+        "vertices: a b\nedges: a-a",
+        "vertices: a b\nedges: a-b b-a",
+        "vertices: a b\nedge: a-b",
+        "# no vertex line",
+        "vertices: a b",
     ],
 )
 def test_parse_graph_rejects(text):
     with pytest.raises(RaagError):
         parse_graph(text)
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, error",
+    [
+        ("a 1b", "", GraphSyntaxError),
+        ("a b a", "", DuplicateVertex),
+        ("a b", "c-a", UnknownVertexInEdge),
+        ("a b", "a-c", UnknownVertexInEdge),
+        ("a b", "a-b b-", UnknownVertexInEdge),
+        ("a b", "a-a", LoopEdge),
+    ],
+)
+def test_parse_graph_leaves_content_checks_to_the_constructor(vertices, edges, error):
+    """A content fault in a file fails as the same graph built in code fails."""
+    with pytest.raises(error) as parsed:
+        parse_graph(f"vertices: {vertices}\nedges: {edges}\n")
+    with pytest.raises(error) as built:
+        DefiningGraph(vertices.split(), [tuple(tok.split("-")) for tok in edges.split()])
+    assert str(parsed.value) == str(built.value)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("vertices: a 1b", "missing 'edges:' line"),
+        ("vertices: a a\nedges: a-b\nextra", "line 3: unexpected content after edge list"),
+        ("vertices: a\nedges: a-x b", "line 2: malformed edge token 'b'"),
+        ("vertices: a\nedges: a-a a-a", "line 2: duplicate edge 'a-a'"),
+    ],
+)
+def test_parse_graph_reports_structure_before_content(text, message):
+    """The file's structure is read in full before the graph's content is checked."""
+    with pytest.raises(GraphSyntaxError) as info:
+        parse_graph(text)
+    assert str(info.value) == message
 
 
 def test_vertex_limit_follows_letter_codes():

@@ -1,0 +1,87 @@
+"""Malformed input to a library entry point fails as a RaagError, never as a stray exception."""
+
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from raagkit import AngledComplex, DefiningGraph, RaagError, Word, parse_graph
+
+P3 = DefiningGraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+
+# JSON-like values: what a caller might pass by mistake, nested a few levels
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def some(strategy, size=4):
+    """A short list drawn from ``strategy``, or any JSON-like value instead."""
+    return st.lists(strategy, max_size=size) | JSON
+
+
+NAMES = st.sampled_from(["a", "b", "c", "x", "1b", "a b", ""]) | JSON
+VERTEX_LINES = st.sampled_from(["vertices: a b c", "vertices: a a", "vertices: 1b", "vertices:"])
+EDGE_LINES = st.sampled_from(
+    ["edges: a-b b-c", "edges: a-x", "edges: a-a", "edges: a-b b-a", "edges: a=b", "edges:"]
+)
+LINES = VERTEX_LINES | EDGE_LINES | st.sampled_from(["# note", ""]) | st.text(max_size=12)
+GRAPH_TEXT = (
+    st.tuples(VERTEX_LINES, EDGE_LINES).map("\n".join)
+    | st.lists(LINES, max_size=4).map("\n".join)
+)
+TOKENS = (
+    st.sampled_from(["a", "B", "abC", "a^-1", "b^3", "c^-2", "x", "a^", "^", "1", "a-b"])
+    | st.text(max_size=4)
+)
+WORD_TEXT = st.lists(TOKENS, max_size=4).map(" ".join) | JSON
+IDS = st.sampled_from(["v", "w", "f", 1, -1, 2]) | JSON
+ANGLES = st.sampled_from(["1/2", "1", "x", 0]) | JSON
+EDGE = st.fixed_dictionaries({"id": IDS, "ends": some(IDS, 3)})
+FACE = st.fixed_dictionaries({"id": IDS, "boundary": some(IDS, 3), "angles": some(ANGLES, 3)})
+COMPLEX = (
+    st.fixed_dictionaries(
+        {
+            "vertices": some(IDS, 3),
+            "edges": st.lists(EDGE | JSON, max_size=3),
+            "faces": st.lists(FACE | JSON, max_size=3),
+        }
+    )
+    | JSON
+)
+LETTERS = some(st.tuples(NAMES, st.sampled_from([1, -1, 0, 2]) | JSON) | JSON)
+
+ENTRY_POINTS = {
+    "graph": (DefiningGraph, st.tuples(some(NAMES), some(some(NAMES, 3), 3))),
+    "parse_graph": (parse_graph, st.tuples(GRAPH_TEXT | JSON)),
+    "parse": (lambda text: Word.parse(P3, text), st.tuples(WORD_TEXT)),
+    "from_letters": (lambda letters: Word.from_letters(P3, letters), st.tuples(LETTERS)),
+    "complex": (AngledComplex.from_json_dict, st.tuples(COMPLEX)),
+}
+
+
+def test_only_raag_errors_escape():
+    """Every entry point either returns or raises a RaagError, whatever it is given.
+
+    Each draw holds one argument tuple per entry point, mixing near-valid
+    input with arbitrary JSON-like values; the counts show both outcomes
+    are reached at every entry point.
+    """
+    seen = Counter()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.fixed_dictionaries({name: strategy for name, (_, strategy) in ENTRY_POINTS.items()}))
+    def check(args):
+        for name, (call, _) in ENTRY_POINTS.items():
+            try:
+                call(*args[name])
+            except RaagError:
+                seen[name, "error"] += 1
+            else:
+                seen[name, "ok"] += 1
+
+    check()
+    assert all(seen[name, "ok"] >= 15 and seen[name, "error"] >= 100 for name in ENTRY_POINTS), seen

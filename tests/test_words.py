@@ -83,6 +83,7 @@ def test_parse_rejects(p3):
         ("a^^2", WordSyntaxError, "malformed token 'a^^2'"),
         ("a 2b", WordSyntaxError, "malformed token '2b'"),
         ("a b^-x", WordSyntaxError, "malformed token 'b^-x'"),
+        (5, WordSyntaxError, "a word is parsed from a string, not int"),
     ],
 )
 def test_parse_error_messages(p3, text, error, message):
