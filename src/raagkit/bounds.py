@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import GraphMismatch
+from .errors import GraphMismatch, UnknownMode
 from .graphs import Coloring, DefiningGraph, chromatic_number, find_triangle
 from .words import Word, exponent_vector, reduce
 
@@ -110,7 +110,7 @@ def scl_lower_bound(graph: DefiningGraph, g: Word, mode: str = "exact") -> Bound
     weaker bound flagged via ``exactness``.
     """
     if mode not in ("exact", "heuristic"):
-        raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
+        raise UnknownMode(f"mode must be 'exact' or 'heuristic', got {mode!r}")
     if g.graph != graph:
         raise GraphMismatch("the element lives over a different graph")
     triangle_free = find_triangle(graph) is None

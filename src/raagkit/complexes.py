@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Union
+from typing import Optional, Union
 
 from .errors import InconsistentComplex, SideCountBelowFour, UnknownFace, UnknownVertex
 
@@ -46,6 +46,17 @@ def _parse_angle(raw: object) -> Fraction:
 def _require_id(kind: str, raw: object) -> None:
     if isinstance(raw, bool) or not isinstance(raw, (str, int)):
         raise InconsistentComplex(f"{kind} id {raw!r} must be a string or an integer")
+
+
+def _items(kind: str, raw: object, size: Optional[int] = None) -> list:
+    """``raw`` as a list, checking that it is a sequence (of ``size`` entries)."""
+    try:
+        items = list(raw)
+    except TypeError:
+        raise InconsistentComplex(f"{kind} {raw!r} is not a sequence") from None
+    if size is not None and len(items) != size:
+        raise InconsistentComplex(f"{kind} {raw!r} does not have {size} entries")
+    return items
 
 
 def _angle_str(q: Fraction) -> str:
@@ -71,6 +82,7 @@ class AngledComplex:
         edges: list[tuple[int, tuple[VertexId, VertexId]]],
         faces: list[tuple[VertexId, list[int], list[Fraction]]],
     ):
+        vertices = _items("vertex list", vertices)
         for v in vertices:
             _require_id("vertex", v)
         if len(set(vertices)) != len(vertices):
@@ -79,13 +91,15 @@ class AngledComplex:
         vertex_set = set(vertices)
 
         self.edges: dict[int, tuple[VertexId, VertexId]] = {}
-        for eid, ends in edges:
+        for edge in _items("edge list", edges):
+            eid, ends = _items("edge", edge, 2)
             if not isinstance(eid, int) or isinstance(eid, bool) or eid == 0:
                 raise InconsistentComplex(
                     f"edge id {eid!r} must be a nonzero integer (sign carries orientation)"
                 )
             if eid in self.edges:
                 raise InconsistentComplex(f"duplicate edge id {eid}")
+            ends = _items(f"edge {eid} ends", ends)
             for v in ends:
                 _require_id(f"edge {eid} endpoint", v)
             if len(ends) != 2 or ends[0] not in vertex_set or ends[1] not in vertex_set:
@@ -97,16 +111,13 @@ class AngledComplex:
         # each distinct angle string is parsed once; only str keys, since a
         # float equal to a cached int would hit and skip its rejection
         parsed: dict[str, Fraction] = {}
-        for fid, boundary, angles in faces:
+        for face in _items("face list", faces):
+            fid, boundary, angles = _items("face", face, 3)
             _require_id("face", fid)
             if fid in self.faces:
                 raise InconsistentComplex(f"duplicate face id {fid!r}")
-            try:
-                boundary, angles = list(boundary), list(angles)
-            except TypeError:
-                raise InconsistentComplex(
-                    f"face {fid!r} boundary and angles must be sequences"
-                ) from None
+            boundary = _items(f"face {fid!r} boundary", boundary)
+            angles = _items(f"face {fid!r} angles", angles)
             if not boundary:
                 raise InconsistentComplex(f"face {fid!r} has an empty boundary")
             for signed in boundary:
@@ -218,7 +229,7 @@ def parse_complex(text: str) -> AngledComplex:
     """Parse the JSON complex format (see the file-format docstring)."""
     try:
         data = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also int()'s digit limit, deep nesting
+    except (TypeError, ValueError, RecursionError) as exc:  # not text, int()'s digit limit, nesting
         raise InconsistentComplex(f"invalid JSON: {exc}") from None
     return AngledComplex.from_json_dict(data)
 

@@ -21,12 +21,13 @@ pieces).  The interval's vertices are ``x`` times the order ideals of that
 poset, so two walls cross iff their positions are incomparable, nest iff they
 are comparable with both half-spaces oriented alike, and the walls between
 two nested ones are the positions between them.  The global variants used
-by the axiom checkers need no context: they read everything off the one
-reduced word ``u = reduce(b_h^-1 b_k)`` between the two bases, crossing by a
-double-coset strip, each base's side of the other wall by the letters ``u``
-can start or end with (one bitmask each), and tightness by the heap of ``u``
-with edge letters added; they build no interval and canonicalise no
-half-space.  The median of ``x, y, z`` is ``x`` times the meet of
+by the axiom checkers take no context but read the same heap, that of an
+interval both walls separate.  One reduction ``u = reduce(b_h^-1 b_k)``
+fixes it: it starts at the end of h's edge on the far side of h from
+``b_k`` and ends at the end of k's edge on the far side of k from that
+start.  h's wall is then the first letter of its generator and k's the
+last of its own, and only the heap of the stretch between them is built.
+The median of ``x, y, z`` is ``x`` times the meet of
 ``reduce(x^-1 y)`` and ``reduce(x^-1 z)`` in the prefix order of traces, the
 same meet that cyclic reduction takes of ``w`` and ``w^-1``.
 """
@@ -246,14 +247,37 @@ class Interval:
             return i, True
         raise NotInContext(f"{hs!r} does not separate the interval endpoints")
 
-    def _comparable(self, i: int, j: int) -> bool:
-        lo, hi = sorted((i, j))
-        return bool((self._down[hi] >> lo) & 1)
-
 
 def interval(x: Word, y: Word) -> Interval:
     """The interval from ``x`` to ``y``: half-spaces oriented toward ``y``."""
     return Interval(x, y)
+
+
+def _comparable(down: list[int], i: int, j: int) -> bool:
+    lo, hi = sorted((i, j))
+    return bool((down[hi] >> lo) & 1)
+
+
+def _direction(down: list[int], i: int, neg_i: bool, j: int, neg_j: bool) -> Optional[int]:
+    """Nesting direction of the walls at heap positions ``i``, ``j``: +1 if i's contains j's.
+
+    ``neg`` marks a half-space oriented away from the interval's end.
+    Oriented toward the end, the half-space of a lower heap position contains
+    that of a higher one; complementing both reverses the containment, and
+    complementing one leaves the pair disjoint or covering.
+    """
+    if i == j or neg_i != neg_j or not _comparable(down, i, j):
+        return None
+    return 1 if (i < j) != neg_i else -1
+
+
+def _between(down: list[int], i: int, j: int) -> list[int]:
+    """The heap positions strictly between two comparable positions.
+
+    The walls strictly between two nested ones sit there.
+    """
+    lo, hi = sorted((i, j))
+    return [r for r in range(lo + 1, hi) if (down[hi] >> r) & 1 and (down[r] >> lo) & 1]
 
 
 def crosses(h: HalfSpace, k: HalfSpace, context: Interval) -> bool:
@@ -265,31 +289,12 @@ def crosses(h: HalfSpace, k: HalfSpace, context: Interval) -> bool:
     """
     i, _ = context.locate(h)
     j, _ = context.locate(k)
-    return i != j and not context._comparable(i, j)
+    return i != j and not _comparable(context._down, i, j)
 
 
 def nested(h: HalfSpace, k: HalfSpace, context: Interval) -> Optional[int]:
-    """Nesting direction: +1 if h ⊃ k, -1 if k ⊃ h, None otherwise.
-
-    Oriented toward the end, the half-space of a lower heap position contains
-    that of a higher one; complementing both reverses the containment, and
-    complementing one leaves the pair disjoint or covering.
-    """
-    i, neg_i = context.locate(h)
-    j, neg_j = context.locate(k)
-    if i == j or neg_i != neg_j or not context._comparable(i, j):
-        return None
-    return 1 if (i < j) != neg_i else -1
-
-
-def _between(context: Interval, i: int, j: int) -> list[int]:
-    """The heap positions strictly between two comparable positions.
-
-    The context walls strictly between two nested ones sit there.
-    """
-    lo, hi = sorted((i, j))
-    down = context._down
-    return [r for r in range(lo + 1, hi) if (down[hi] >> r) & 1 and (down[r] >> lo) & 1]
+    """Nesting direction: +1 if h ⊃ k, -1 if k ⊃ h, None otherwise."""
+    return _direction(context._down, *context.locate(h), *context.locate(k))
 
 
 def tightly_nested(h: HalfSpace, k: HalfSpace, context: Interval) -> bool:
@@ -299,9 +304,9 @@ def tightly_nested(h: HalfSpace, k: HalfSpace, context: Interval) -> bool:
     also separates the interval's endpoints, so checking context half-spaces
     is exhaustive.
     """
-    if nested(h, k, context) is None:
-        return False
-    return not _between(context, context.locate(h)[0], context.locate(k)[0])
+    (i, neg_i), (j, neg_j) = context.locate(h), context.locate(k)
+    down = context._down
+    return _direction(down, i, neg_i, j, neg_j) is not None and not _between(down, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +361,11 @@ def _longest_paths(
     """
     i, neg = context.locate(outer)
     j, _ = context.locate(inner)
-    mids = _between(context, i, j)
+    down = context._down
+    mids = _between(down, i, j)
     height: dict[int, int] = {}
     for r in mids if neg else reversed(mids):
-        height[r] = 1 + max((height[s] for s in height if context._comparable(r, s)), default=0)
+        height[r] = 1 + max((height[s] for s in height if _comparable(down, r, s)), default=0)
     walls = context.halfspaces
     oriented = {r: walls[r].complement() if neg else walls[r] for r in mids}
     order = sorted(mids, key=lambda r: oriented[r].sort_key())
@@ -368,12 +374,12 @@ def _longest_paths(
     def walk(path: tuple[int, ...], need: int) -> None:
         if not need:
             path += (j,)
-            taut = all(not _between(context, p, q) for p, q in zip(path, path[1:]))
+            taut = all(not _between(down, p, q) for p, q in zip(path, path[1:]))
             inside = tuple(oriented[r] for r in path[1:-1])
             chains.append(Chain((outer, *inside, inner), taut=taut))
             return
         for s in order:
-            if height[s] == need and context._comparable(path[-1], s):
+            if height[s] == need and _comparable(down, path[-1], s):
                 walk(path + (s,), need - 1)
                 if chains and not all_chains:
                     return
@@ -428,83 +434,72 @@ def median(x: Word, y: Word, z: Word) -> Word:
 # ---------------------------------------------------------------------------
 
 
-def _walls_cross(graph: DefiningGraph, h: HalfSpace, k: HalfSpace, u: bytes) -> bool:
-    """Crossing for adjacent labels, given ``u = reduce(b_h^-1 b_k)``."""
-    lk = graph._lk_mask
-    # stripping front letters of u is stripping back letters of its inverse
-    rest = _strip_suffix_in(graph, _inv_codes(u), lk[h.label_index])
-    return all((lk[k.label_index] >> (c >> 1)) & 1 for c in rest)
+def _stretch(graph: DefiningGraph, h: HalfSpace, k: HalfSpace) -> tuple[bytes, bool, bool]:
+    """The heap positions from h's wall to k's in an interval both walls separate.
+
+    Its start ``x`` is the end of h's edge on the far side of h from ``b_k``,
+    its end ``y`` the end of k's edge on the far side of k from ``x``; an
+    edge crosses no wall but its own, so both walls separate them.  h's wall
+    touches ``x``, so it is the first letter of its generator in
+    ``reduce(x^-1 y)``, and k's is the last of its own; no position outside
+    that stretch lies between them.  The stretch is empty when k's wall
+    comes first, as neither then lies below the other.  The flags say
+    whether h and k are oriented away from ``y``.
+    """
+    a, c = h.label_index, k.label_index
+    w = _reduce_codes(graph, _inv_codes(h.base_codes) + k.base_codes)  # u
+    x_head = not (_first_letters(graph, w) >> 2 * a) & 1
+    if x_head:
+        w = bytes([2 * a + 1]) + w  # x^-1 b_k: reduced, since u cannot start with a
+    y_head = not (_first_letters(graph, w[::-1]) >> 2 * c + 1) & 1
+    if y_head:
+        w += bytes([2 * c])  # x^-1 y: reduced, since x^-1 b_k cannot end in c^-1
+    lo, hi = w.index(2 * a + x_head), w.rindex(2 * c + (not y_head))
+    return w[lo : hi + 1], x_head == (h.sign > 0), y_head != (k.sign > 0)
 
 
 def hyperplanes_cross(h: HalfSpace, k: HalfSpace) -> bool:
     """Whether the underlying hyperplanes cross, tested globally.
 
     Crossing happens inside a square, so the labels must be adjacent (hence
-    distinct), and some vertex must carry both defining edges: the bases must
-    lie in a common ``<lk(h)> * <lk(k)>`` double coset.  That membership is
-    decided by greedily stripping front-movable letters of the first link
-    from ``u = reduce(b_h^-1 b_k)`` and checking the remainder lies in the
-    second link's subgroup.
+    distinct).  Then, as in :func:`crosses`, the walls cross iff neither
+    position lies below the other in the heap of an interval both separate.
     """
     graph = _require_same_graph(h, k)
     if not (graph._lk_mask[h.label_index] >> k.label_index) & 1:
         return False
-    u = _reduce_codes(graph, _inv_codes(h.base_codes) + k.base_codes)
-    return _walls_cross(graph, h, k, u)
+    stretch, _, _ = _stretch(graph, h, k)
+    return not stretch or not _comparable(_heap_down(graph, stretch), 0, len(stretch) - 1)
 
 
-def _nesting(h: HalfSpace, k: HalfSpace) -> tuple[Optional[int], bytes]:
-    """The nesting direction of :func:`nested_globally`, with ``u = reduce(b_h^-1 b_k)``."""
+def _global_nesting(h: HalfSpace, k: HalfSpace) -> tuple[Optional[int], list[int]]:
+    """The nesting direction of h and k, with the heap of the stretch between their walls."""
     graph = _require_same_graph(h, k)
-    if h.wall_key() == k.wall_key():
-        return None, b""
-    u = _reduce_codes(graph, _inv_codes(h.base_codes) + k.base_codes)
-    if (graph._lk_mask[h.label_index] >> k.label_index) & 1 and _walls_cross(graph, h, k, u):
-        return None, u
-    # u runs from b_h to b_k and its inverse from b_k to b_h
-    ends, starts = _first_letters(graph, u[::-1]), _first_letters(graph, u)
-    h_side = bool((ends >> (2 * k.label_index + 1)) & 1) == (k.sign > 0)
-    k_side = bool((starts >> (2 * h.label_index)) & 1) == (h.sign > 0)
-    return (None if h_side == k_side else 1 if k_side else -1), u
+    stretch, neg_h, neg_k = _stretch(graph, h, k)
+    if neg_h != neg_k or not stretch:  # orientations are compared before any heap is built
+        return None, []
+    down = _heap_down(graph, stretch)
+    return _direction(down, 0, neg_h, len(down) - 1, neg_k), down
 
 
 def nested_globally(h: HalfSpace, k: HalfSpace) -> Optional[int]:
     """Global nesting direction: +1 if h ⊃ k, -1 if k ⊃ h, None otherwise.
 
-    For distinct non-crossing hyperplanes each defining edge lies entirely on
-    one side of the other hyperplane, so the sides of the two bases classify
-    the four configurations.  Both come from the crossing test's reduction
-    ``u = reduce(b_h^-1 b_k)``: ``b_h ∈ K`` iff ``u`` can end in the inverse
-    of k's label (as for :func:`member`), ``b_k ∈ H`` iff it can start with
-    h's label.
+    Read as :func:`nested` reads it, from the two walls' positions in the
+    heap of an interval that both separate and from their orientations.
     """
-    return _nesting(h, k)[0]
+    return _global_nesting(h, k)[0]
 
 
 def tightly_nested_globally(h: HalfSpace, k: HalfSpace) -> bool:
     """Global tight nesting: nested with no half-space at all strictly between.
 
-    Any half-space between the pair separates the end ``p_out`` of the outer
-    defining edge outside it from the end ``p_in`` of the inner one inside
-    it, so the walls of ``[p_out, p_in]`` are exhaustive: the positions of
-    the heap of ``w = reduce(p_out^-1 p_in)``, i.e. ``u^±1`` with an edge
-    letter added at a head end.  The outer wall touches ``p_out``, so it is
-    the first letter of its generator; the inner wall is the last of its
-    own.  Letters of one generator are totally ordered in every spelling.
-    Tight means no position lies above the first and below the second.
+    A half-space between the pair separates the interval's endpoints, so,
+    as in :func:`tightly_nested`, tight means that no heap position lies
+    above one wall's and below the other's.
     """
-    direction, u = _nesting(h, k)
-    if direction is None:
-        return False
-    outer, inner, u = (h, k, u) if direction == 1 else (k, h, _inv_codes(u))
-    out_code = 2 * outer.label_index + (outer.sign < 0)  # the edge letter out of p_out
-    in_code = 2 * inner.label_index + (inner.sign < 0)  # the edge letter into p_in
-    head_out = bytes([out_code]) if outer.sign < 0 else b""
-    head_in = bytes([in_code]) if inner.sign > 0 else b""
-    w = _reduce_codes(h.graph, head_out + u + head_in)
-    lo, hi = w.index(out_code), w.rindex(in_code)
-    down = _heap_down(h.graph, w[: hi + 1])
-    return not any((down[hi] >> r) & 1 and (down[r] >> lo) & 1 for r in range(lo + 1, hi))
+    direction, down = _global_nesting(h, k)
+    return direction is not None and not _between(down, 0, len(down) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -702,10 +697,10 @@ def check_max_chains(
             continue
         ctx = interval(x, y)
         report.intervals_checked += 1
-        walls = ctx.halfspaces
+        walls, down = ctx.halfspaces, ctx._down
         for i in range(len(walls)):
             for j in range(i + 1, len(walls)):
-                if not ctx._comparable(i, j):
+                if not _comparable(down, i, j):
                     continue
                 report.nested_pairs += 1
                 chains = all_longest_chains(walls[i], walls[j], ctx)

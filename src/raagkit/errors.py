@@ -9,6 +9,10 @@ class RaagError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class UnknownMode(RaagError, ValueError):
+    """A ``mode`` argument names no mode of the function it was passed to."""
+
+
 # -- defining graphs ---------------------------------------------------------
 
 class GraphSyntaxError(RaagError):

@@ -28,6 +28,7 @@ from .errors import (
     LoopEdge,
     TooLargeForExact,
     TooManyVertices,
+    UnknownMode,
     UnknownVertex,
     UnknownVertexInEdge,
 )
@@ -386,7 +387,7 @@ def chromatic_number(
     runs DSATUR and may overshoot, flagged by ``exact=False``.
     """
     if mode not in ("exact", "heuristic"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise UnknownMode(f"unknown mode {mode!r}")
     ub = _dsatur(graph)
     if mode == "heuristic":
         return ub.num_colors, ub, False

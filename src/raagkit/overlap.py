@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import TrivialElement
+from .errors import TrivialElement, UnknownMode
 from .graphs import DefiningGraph, chromatic_number
 from .words import (
     CyclicWord,
@@ -51,7 +51,7 @@ _MODES = ("disjoint", "any")
 
 def _check_mode(mode: str) -> None:
     if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+        raise UnknownMode(f"mode must be one of {_MODES}, got {mode!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,11 @@ def test_disk_has_boundary():
         (["v"], [(1, ("v", "v"))], [("f", [1], [Fraction(1)] * 2)]),  # angle count
         (["v"], [(1, ("v", "v"))], [("f", 1, [1])]),  # boundary not a sequence
         (["v"], [(1, ("v", "v"))], [("f", [1], None)]),  # angles not a sequence
+        (None, [], []),  # vertex list not a sequence
+        (["v"], [(1, 5)], []),  # edge ends not a sequence
+        (["v"], [1], []),  # edge not an (id, ends) pair
+        (["v"], [(1, ("v", "v"))], [("f", [1])]),  # face not an (id, boundary, angles) triple
+        (["v"], [(1, ("v", "v"))], 3),  # face list not a sequence
     ],
 )
 def test_validation_rejects(vertices, edges, faces):
@@ -239,6 +244,8 @@ def test_parse_complex_rejects_garbage():
         parse_complex("[]")
     with pytest.raises(InconsistentComplex):
         parse_complex('{"vertices": ["v"], "edges": []}')
+    with pytest.raises(InconsistentComplex):
+        parse_complex(5)
 
 
 @pytest.mark.parametrize(

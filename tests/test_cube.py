@@ -385,13 +385,28 @@ def test_context_vs_global_relations(four_gen_graphs):
         assert pairs > 50
 
 
+def _interval_ends(h, k):
+    """The ends of the defining edges that bound the interval the global relations read.
+
+    ``x`` is the end of h's edge on the far side of h from ``b_k``, and ``y``
+    the end of k's edge on the far side of k from ``x``; each is a base or a
+    head.
+    """
+    h_base, h_letter = h.defining_edge()
+    x_head = not member(k.base, h if h.sign > 0 else h.complement())
+    x = h_base * Word.from_letters(h.graph, [h_letter]) if x_head else h_base
+    y_head = not member(x, k if k.sign > 0 else k.complement())
+    return "x=b_h·a" if x_head else "x=b_h", "y=b_k·c" if y_head else "y=b_k"
+
+
 def test_global_relations_match_interval_oracle():
     """Global relations and membership against the distance/interval oracles.
 
     Pairs come in three kinds over random graphs: ``(H, f(H̄))`` as in
     axiom s3, the walls at adjacent positions of an interval (tight when
     their letters do not commute), and half-spaces of random edges.  Every
-    pair is checked in both orders and in random orientations.
+    pair is checked in both orders and in random orientations, and each of
+    the four choices of interval ends is reached.
     """
     seen = Counter()
 
@@ -426,9 +441,17 @@ def test_global_relations_match_interval_oracle():
                 tight = tightly_nested_globally(a, b)
                 assert tight == H.tight_by_interval(a, b)
                 seen.update(pairs=1, nested=direction is not None, tight=tight)
+                seen[_interval_ends(a, b)] += 1
 
     check()
     assert seen["tight"] >= 500 and seen["nested"] >= 2000, seen
+    floors = {
+        ("x=b_h", "y=b_k"): 1150,
+        ("x=b_h", "y=b_k·c"): 1150,
+        ("x=b_h·a", "y=b_k"): 1700,
+        ("x=b_h·a", "y=b_k·c"): 1150,
+    }
+    assert all(seen[ends] >= n for ends, n in floors.items()), seen
 
 
 # -- chains -----------------------------------------------------------------

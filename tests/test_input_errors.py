@@ -1,11 +1,27 @@
 """Malformed input to a library entry point fails as a RaagError, never as a stray exception."""
 
+import json
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raagkit import AngledComplex, DefiningGraph, RaagError, Word, parse_graph
+from raagkit import (
+    AngledComplex,
+    CyclicWord,
+    DefiningGraph,
+    RaagError,
+    UnknownMode,
+    Word,
+    chromatic_number,
+    max_inverse_overlap,
+    parse_complex,
+    parse_graph,
+    projection_overlap_bound,
+    scl_lower_bound,
+    verify_key_lemma,
+)
 
 P3 = DefiningGraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
 
@@ -52,6 +68,11 @@ COMPLEX = (
     )
     | JSON
 )
+COMPLEX_ARGS = st.tuples(
+    some(IDS, 3),
+    some(st.tuples(IDS, some(IDS, 3)) | JSON, 3),
+    some(st.tuples(IDS, some(IDS, 3), some(ANGLES, 3)) | JSON, 3),
+)
 LETTERS = some(st.tuples(NAMES, st.sampled_from([1, -1, 0, 2]) | JSON) | JSON)
 
 ENTRY_POINTS = {
@@ -60,6 +81,8 @@ ENTRY_POINTS = {
     "parse": (lambda text: Word.parse(P3, text), st.tuples(WORD_TEXT)),
     "from_letters": (lambda letters: Word.from_letters(P3, letters), st.tuples(LETTERS)),
     "complex": (AngledComplex.from_json_dict, st.tuples(COMPLEX)),
+    "AngledComplex": (AngledComplex, COMPLEX_ARGS),
+    "parse_complex": (parse_complex, st.tuples(COMPLEX.map(json.dumps) | st.text(max_size=12) | JSON)),
 }
 
 
@@ -85,3 +108,22 @@ def test_only_raag_errors_escape():
 
     check()
     assert all(seen[name, "ok"] >= 15 and seen[name, "error"] >= 100 for name in ENTRY_POINTS), seen
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: max_inverse_overlap(CyclicWord(Word.parse(P3, "ac")), mode="fast"),
+        lambda: projection_overlap_bound(CyclicWord(Word.parse(P3, "ac")), mode="fast"),
+        lambda: verify_key_lemma(Word.parse(P3, "ac"), mode="fast"),
+        lambda: chromatic_number(P3, mode="fast"),
+        # the identity never reaches chromatic_number, so the mode is checked first
+        lambda: scl_lower_bound(P3, Word.parse(P3, ""), mode="fast"),
+    ],
+    ids=["overlap", "projection", "key_lemma", "chromatic", "scl_bound"],
+)
+def test_unknown_mode_is_a_raag_error(call):
+    """An unknown mode is a RaagError, and still the ValueError it used to be."""
+    with pytest.raises(UnknownMode) as info:
+        call()
+    assert isinstance(info.value, RaagError) and isinstance(info.value, ValueError)
