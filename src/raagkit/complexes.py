@@ -50,6 +50,8 @@ def _require_id(kind: str, raw: object) -> None:
 
 def _items(kind: str, raw: object, size: Optional[int] = None) -> list:
     """``raw`` as a list, checking that it is a sequence (of ``size`` entries)."""
+    if isinstance(raw, (str, bytes)):  # 'vw' would be split into v and w
+        raise InconsistentComplex(f"{kind} {raw!r} is a string, not a list")
     try:
         items = list(raw)
     except TypeError:
@@ -99,10 +101,10 @@ class AngledComplex:
                 )
             if eid in self.edges:
                 raise InconsistentComplex(f"duplicate edge id {eid}")
-            ends = _items(f"edge {eid} ends", ends)
+            ends = _items(f"edge {eid} ends", ends, 2)
             for v in ends:
                 _require_id(f"edge {eid} endpoint", v)
-            if len(ends) != 2 or ends[0] not in vertex_set or ends[1] not in vertex_set:
+            if ends[0] not in vertex_set or ends[1] not in vertex_set:
                 raise InconsistentComplex(f"edge {eid} has unknown endpoint in {ends!r}")
             self.edges[eid] = (ends[0], ends[1])
 
@@ -201,12 +203,9 @@ class AngledComplex:
             if key not in data or not isinstance(data[key], list):
                 raise InconsistentComplex(f"complex JSON needs a {key!r} list")
         try:
-            edges = [(e["id"], (e["ends"][0], e["ends"][1])) for e in data["edges"]]
-            faces = [
-                (f["id"], list(f["boundary"]), list(f["angles"]))
-                for f in data["faces"]
-            ]
-        except (KeyError, TypeError, IndexError) as exc:
+            edges = [(e["id"], e["ends"]) for e in data["edges"]]
+            faces = [(f["id"], f["boundary"], f["angles"]) for f in data["faces"]]
+        except (KeyError, TypeError) as exc:
             raise InconsistentComplex(f"malformed complex JSON: {exc}") from None
         return cls(list(data["vertices"]), edges, faces)
 

@@ -27,6 +27,8 @@ fixes it: it starts at the end of h's edge on the far side of h from
 ``b_k`` and ends at the end of k's edge on the far side of k from that
 start.  h's wall is then the first letter of its generator and k's the
 last of its own, and only the heap of the stretch between them is built.
+``in_a_g_plus`` reads the same nesting: g's axis enters H exactly when
+``H ⊋ g·H`` (g skewers H), one reduction of ``b^-1 g b`` for the base ``b``.
 The median of ``x, y, z`` is ``x`` times the meet of
 ``reduce(x^-1 y)`` and ``reduce(x^-1 z)`` in the prefix order of traces, the
 same meet that cyclic reduction takes of ``w`` and ``w^-1``.
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import ceil
 from typing import Optional
 
 from .errors import (
@@ -434,20 +435,22 @@ def median(x: Word, y: Word, z: Word) -> Word:
 # ---------------------------------------------------------------------------
 
 
-def _stretch(graph: DefiningGraph, h: HalfSpace, k: HalfSpace) -> tuple[bytes, bool, bool]:
+def _stretch(graph: DefiningGraph, h: tuple, k: tuple) -> tuple[bytes, bool, bool]:
     """The heap positions from h's wall to k's in an interval both walls separate.
 
-    Its start ``x`` is the end of h's edge on the far side of h from ``b_k``,
-    its end ``y`` the end of k's edge on the far side of k from ``x``; an
-    edge crosses no wall but its own, so both walls separate them.  h's wall
-    touches ``x``, so it is the first letter of its generator in
-    ``reduce(x^-1 y)``, and k's is the last of its own; no position outside
-    that stretch lies between them.  The stretch is empty when k's wall
-    comes first, as neither then lies below the other.  The flags say
-    whether h and k are oriented away from ``y``.
+    Each wall is ``(base codes, label, sign)``, as :meth:`HalfSpace.sort_key`
+    gives it, at any base of its coset: ``(b*z, b*z*a)`` is parallel to
+    ``(b, b*a)`` when ``z`` commutes with ``a``.  Its start ``x`` is the end
+    of h's edge on the far side of h from ``b_k``, its end ``y`` the end of
+    k's edge on the far side of k from ``x``; an edge crosses no wall but its
+    own, so both walls separate them.  h's wall touches ``x``, so it is the
+    first letter of its generator in ``reduce(x^-1 y)``, and k's is the last
+    of its own; no position outside that stretch lies between them.  The
+    stretch is empty when k's wall comes first, as neither then lies below
+    the other.  The flags say whether h and k are oriented away from ``y``.
     """
-    a, c = h.label_index, k.label_index
-    w = _reduce_codes(graph, _inv_codes(h.base_codes) + k.base_codes)  # u
+    (b_h, a, s_h), (b_k, c, s_k) = h, k
+    w = _reduce_codes(graph, _inv_codes(b_h) + b_k)  # u
     x_head = not (_first_letters(graph, w) >> 2 * a) & 1
     if x_head:
         w = bytes([2 * a + 1]) + w  # x^-1 b_k: reduced, since u cannot start with a
@@ -455,7 +458,7 @@ def _stretch(graph: DefiningGraph, h: HalfSpace, k: HalfSpace) -> tuple[bytes, b
     if y_head:
         w += bytes([2 * c])  # x^-1 y: reduced, since x^-1 b_k cannot end in c^-1
     lo, hi = w.index(2 * a + x_head), w.rindex(2 * c + (not y_head))
-    return w[lo : hi + 1], x_head == (h.sign > 0), y_head != (k.sign > 0)
+    return w[lo : hi + 1], x_head == (s_h > 0), y_head != (s_k > 0)
 
 
 def hyperplanes_cross(h: HalfSpace, k: HalfSpace) -> bool:
@@ -468,13 +471,12 @@ def hyperplanes_cross(h: HalfSpace, k: HalfSpace) -> bool:
     graph = _require_same_graph(h, k)
     if not (graph._lk_mask[h.label_index] >> k.label_index) & 1:
         return False
-    stretch, _, _ = _stretch(graph, h, k)
+    stretch, _, _ = _stretch(graph, h.sort_key(), k.sort_key())
     return not stretch or not _comparable(_heap_down(graph, stretch), 0, len(stretch) - 1)
 
 
-def _global_nesting(h: HalfSpace, k: HalfSpace) -> tuple[Optional[int], list[int]]:
-    """The nesting direction of h and k, with the heap of the stretch between their walls."""
-    graph = _require_same_graph(h, k)
+def _global_nesting(graph: DefiningGraph, h: tuple, k: tuple) -> tuple[Optional[int], list[int]]:
+    """The nesting direction of two walls as :func:`_stretch` takes them, and the stretch's heap."""
     stretch, neg_h, neg_k = _stretch(graph, h, k)
     if neg_h != neg_k or not stretch:  # orientations are compared before any heap is built
         return None, []
@@ -488,7 +490,7 @@ def nested_globally(h: HalfSpace, k: HalfSpace) -> Optional[int]:
     Read as :func:`nested` reads it, from the two walls' positions in the
     heap of an interval that both separate and from their orientations.
     """
-    return _global_nesting(h, k)[0]
+    return _global_nesting(_require_same_graph(h, k), h.sort_key(), k.sort_key())[0]
 
 
 def tightly_nested_globally(h: HalfSpace, k: HalfSpace) -> bool:
@@ -498,7 +500,7 @@ def tightly_nested_globally(h: HalfSpace, k: HalfSpace) -> bool:
     as in :func:`tightly_nested`, tight means that no heap position lies
     above one wall's and below the other's.
     """
-    direction, down = _global_nesting(h, k)
+    direction, down = _global_nesting(_require_same_graph(h, k), h.sort_key(), k.sort_key())
     return direction is not None and not _between(down, 0, len(down) - 1)
 
 
@@ -514,44 +516,31 @@ def _require_cyclically_reduced(g: Word) -> None:
         raise NotCyclicallyReduced(f"{g.display()!r} is not cyclically reduced")
 
 
-def _axis_window(g: Word, hs: HalfSpace) -> int:
-    """A power bound past which the axis cannot cross the given hyperplane.
-
-    Deleting the letters adjacent to the label is a retraction fixing the
-    base's coset, so the base is at least as long as the image of the axis
-    point under that retraction; the image of ``g`` has a nonempty cyclically
-    reduced core whose length grows linearly in the exponent.  Inverting that
-    growth bound (plus slack) gives the window.
-    """
-    graph = g.graph
-    lk = graph._lk_mask[hs.label_index]
-    image = _reduce_codes(graph, bytes(c for c in g.codes if not (lk >> (c >> 1)) & 1))
-    conj = len(_meet(graph, image, _inv_codes(image)))
-    core = len(image) - 2 * conj
-    if not core:
-        raise AssertionError(
-            "axis label survives the retraction but its image is conjugacy-trivial"
-        )
-    numer = len(hs.base_codes) + 2 * conj + len(g.codes)
-    return ceil(numer / core) + 2
-
-
 def in_a_g_plus(g: Word, hs: HalfSpace) -> bool:
     """Whether the half-space contains the attracting end of the axis of ``g``.
 
     Convention: ``g`` is cyclically reduced and its axis is the orbit path of
-    the identity.  The half-space qualifies iff it lies in some segment
-    ``[g^n, g^(n+1)]`` of that path, i.e. iff membership of ``g^n`` switches
-    from false to true as ``n`` runs from a sufficiently negative to a
-    sufficiently positive power.  Membership along a geodesic line switches
-    at most once, so probing the two window endpoints decides it.
+    the identity, a geodesic line.  The half-space H qualifies iff the axis
+    crosses H's wall into H: ``g^N ∈ H`` and ``g^-N ∉ H`` for large ``N``.
+    That holds exactly when ``H ⊋ g·H`` (g skewers H, in the sense of
+    Caprace–Sageev):
+
+    (⇒) the axis crosses the wall of ``g·H`` one period later, in the same
+    direction, so the two walls are distinct; walls with the same label
+    never cross, so ``g·H ⊊ H``.
+
+    (⇐) the walls of the chain ``g^n·H`` (n ∈ ℤ) are pairwise distinct, and
+    only finitely many walls separate two vertices, so for large ``N`` the
+    growing ``g^-N·H`` contains the identity and the shrinking ``g^N·H``
+    does not: ``g^N ∈ H`` and ``g^-N ∉ H``.
+
+    The nesting is read as :func:`nested_globally` reads it, with ``g·H``
+    given at the base ``g·b``: one reduction, of ``b^-1·g·b``.
     """
     _require_cyclically_reduced(g)
     graph = _require_same_graph(g, hs)
-    if not any(c >> 1 == hs.label_index for c in g.codes):
-        return False  # the axis only crosses hyperplanes labeled by letters of g
-    pos = g.codes * _axis_window(g, hs)
-    return _member_codes(graph, pos, hs) and not _member_codes(graph, _inv_codes(pos), hs)
+    base, a, sign = hs.sort_key()
+    return _global_nesting(graph, (base, a, sign), (g.codes + base, a, sign))[0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +760,9 @@ def search_prop_noov_violation(
     attracting family.  Those half-spaces, oriented toward f*x, are the
     translates f(H̄) of the walls H of [x, y], so only [x, y] is built.  None
     is expected; the identity element is the canonical near-miss (it
-    reverses the segment exactly).
+    reverses the segment exactly).  The premise holds by construction, since
+    the axis crosses every wall of a forward segment forward; the
+    ``premise_failures`` count stays as a check of :func:`in_a_g_plus`.
     """
     _require_cyclically_reduced(g)
     graph = g.graph

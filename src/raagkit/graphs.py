@@ -52,6 +52,9 @@ class DefiningGraph:
     """
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str]]):
+        if isinstance(vertices, (str, bytes)) or isinstance(edges, (str, bytes)):
+            # a string would be split into one-character names
+            raise GraphSyntaxError("vertices and edges must be iterables, not strings")
         try:
             names, edges = list(vertices), list(edges)
         except TypeError:
@@ -75,6 +78,8 @@ class DefiningGraph:
         lk = [0] * n
         for edge in edges:
             try:
+                if isinstance(edge, (str, bytes)):
+                    raise TypeError  # 'ab' would be read as the edge a-b
                 a, b = edge
                 i, j = self.index.get(a), self.index.get(b)
             except (TypeError, ValueError):

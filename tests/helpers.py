@@ -672,6 +672,63 @@ def tight_by_interval(h, k) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# attracting-end membership by probing two long powers
+# ---------------------------------------------------------------------------
+#
+# ``cube.in_a_g_plus`` before it became the nesting ``H ⊋ g·H``, kept
+# verbatim as an oracle: a retraction bounds a power N, and membership of
+# ``g^N`` and ``g^-N`` decides.  It reuses the package's reduction, trace
+# meet and membership; it concerns how the axis is probed.
+
+
+def _axis_window(g, hs) -> int:
+    """A power bound past which the axis cannot cross the given hyperplane.
+
+    Deleting the letters adjacent to the label is a retraction fixing the
+    base's coset, so the base is at least as long as the image of the axis
+    point under that retraction; the image of ``g`` has a nonempty cyclically
+    reduced core whose length grows linearly in the exponent.  Inverting that
+    growth bound (plus slack) gives the window.
+    """
+    from math import ceil
+
+    from raagkit.words import _inv_codes, _meet, _reduce_codes
+
+    graph = g.graph
+    lk = graph._lk_mask[hs.label_index]
+    image = _reduce_codes(graph, bytes(c for c in g.codes if not (lk >> (c >> 1)) & 1))
+    conj = len(_meet(graph, image, _inv_codes(image)))
+    core = len(image) - 2 * conj
+    if not core:
+        raise AssertionError(
+            "axis label survives the retraction but its image is conjugacy-trivial"
+        )
+    numer = len(hs.base_codes) + 2 * conj + len(g.codes)
+    return ceil(numer / core) + 2
+
+
+def in_a_g_plus_by_window(g, hs) -> bool:
+    """Whether the half-space contains the attracting end of the axis of ``g``.
+
+    Convention: ``g`` is cyclically reduced and its axis is the orbit path of
+    the identity.  The half-space qualifies iff it lies in some segment
+    ``[g^n, g^(n+1)]`` of that path, i.e. iff membership of ``g^n`` switches
+    from false to true as ``n`` runs from a sufficiently negative to a
+    sufficiently positive power.  Membership along a geodesic line switches
+    at most once, so probing the two window endpoints decides it.
+    """
+    from raagkit.cube import _member_codes, _require_cyclically_reduced
+    from raagkit.words import _inv_codes, _require_same_graph
+
+    _require_cyclically_reduced(g)
+    graph = _require_same_graph(g, hs)
+    if not any(c >> 1 == hs.label_index for c in g.codes):
+        return False  # the axis only crosses hyperplanes labeled by letters of g
+    pos = g.codes * _axis_window(g, hs)
+    return _member_codes(graph, pos, hs) and not _member_codes(graph, _inv_codes(pos), hs)
+
+
+# ---------------------------------------------------------------------------
 # chains and the no-overlap search without the heap
 # ---------------------------------------------------------------------------
 #

@@ -209,6 +209,24 @@ def test_gauss_bonnet_list_ids_are_input_errors(tmp_path, body):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "edge, face",
+    [
+        ({"id": 1, "ends": "vw"}, None),
+        ({"id": 1, "ends": ["v", "w", "v"]}, None),
+        ({"id": 1, "ends": ["v", "v"]}, {"id": "f", "boundary": [1], "angles": "1"}),
+    ],
+    ids=["string-ends", "three-ends", "string-angles"],
+)
+def test_gauss_bonnet_rejects_ends_and_angles_not_given_as_lists(tmp_path, edge, face):
+    """Ends and angles are checked as given: not split from a string, not cut to two."""
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps({"vertices": ["v", "w"], "edges": [edge], "faces": [face] if face else []}))
+    code, out, err = run(["gauss-bonnet", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_gauss_bonnet_bad_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"vertices": []}')

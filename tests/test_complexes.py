@@ -71,6 +71,11 @@ def test_disk_has_boundary():
         (["v"], [1], []),  # edge not an (id, ends) pair
         (["v"], [(1, ("v", "v"))], [("f", [1])]),  # face not an (id, boundary, angles) triple
         (["v"], [(1, ("v", "v"))], 3),  # face list not a sequence
+        ("vw", [], []),  # vertex list a string, not split into v and w
+        (["v", "w"], [(1, "vw")], []),  # edge ends a string
+        (["v", "w"], ["1v"], []),  # edge a string
+        (["v"], [(1, ("v", "v"))], [("f", [1], "1")]),  # angles a string
+        (["v"], [(1, ("v", "v"))], [("f", b"\x01", [1])]),  # boundary as bytes
     ],
 )
 def test_validation_rejects(vertices, edges, faces):
@@ -246,6 +251,20 @@ def test_parse_complex_rejects_garbage():
         parse_complex('{"vertices": ["v"], "edges": []}')
     with pytest.raises(InconsistentComplex):
         parse_complex(5)
+
+
+@pytest.mark.parametrize(
+    "edge",
+    [{"id": 1, "ends": ["v", "w", "v"]}, {"id": 1, "ends": ["v"]}, {"id": 1, "ends": "vw"}],
+    ids=["three-ends", "one-end", "string-ends"],
+)
+def test_json_edge_ends_are_checked_as_given(edge):
+    """JSON edge ends reach the constructor whole: three are not cut to two."""
+    data = {"vertices": ["v", "w"], "edges": [edge], "faces": []}
+    with pytest.raises(InconsistentComplex):
+        AngledComplex.from_json_dict(data)
+    with pytest.raises(InconsistentComplex):
+        AngledComplex(data["vertices"], [(edge["id"], edge["ends"])], [])
 
 
 @pytest.mark.parametrize(

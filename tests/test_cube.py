@@ -12,8 +12,8 @@ are checked, again over random graphs, against the distance and interval
 formulation in ``helpers.py``, longest chains against an enumeration of
 nested runs, and the no-overlap search against one interval per element.
 ``in_a_g_plus`` is checked against its definition with a large explicit
-power.  Distances fall out of normal forms, which test_words.py pins to the
-elementary-moves oracle.
+power and against the power-window probes it replaced.  Distances fall out
+of normal forms, which test_words.py pins to the elementary-moves oracle.
 """
 
 import random
@@ -600,6 +600,52 @@ def test_in_a_g_plus_deep_base(p3):
         h = halfspace_of_edge(w(p3, f"a^{k}"), ("a", 1))
         assert in_a_g_plus(g, h)
         assert big_power_verdict(g, h)
+
+
+def test_in_a_g_plus_matches_window_probes(suite_graphs):
+    """``in_a_g_plus`` against the power-window formulation in ``helpers.py``.
+
+    Half-spaces are the walls of forward axis segments in both orientations,
+    their translates f(H̄) as the no-overlap search builds them, and those of
+    random edges, some with a label absent from ``g``.  Every wall of a
+    forward segment is crossed forward, so it qualifies and its complement
+    does not.
+    """
+    seen = Counter()
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        graph=H.random_graphs() | st.sampled_from(list(suite_graphs.values())),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(graph, seed):
+        rng = random.Random(seed)
+        letters = [(v, s) for v in graph.vertices for s in (1, -1)]
+
+        def word(lo, hi):
+            return Word.from_letters(graph, [rng.choice(letters) for _ in range(rng.randint(lo, hi))])
+
+        g = cyclically_reduce(word(1, 5)).core
+        if g.is_identity:
+            return
+        reach = 2 * len(g)
+        i = rng.randint(-reach, reach - 1)
+        j = rng.randint(i + 1, reach)
+        x, y = (Word(graph, cube._axis_point(graph, g.codes, n)) for n in (i, j))
+        walls = interval(x, y).halfspaces
+        for hs in walls:
+            assert in_a_g_plus(g, hs) and not in_a_g_plus(g, hs.complement())
+        pool = [*walls, *(hs.complement() for hs in walls)]
+        pool += [act(word(0, 3), hs.complement()) for hs in walls for _ in range(2)]
+        pool += [halfspace_of_edge(word(0, 6), rng.choice(letters)) for _ in range(8)]
+        labels = {c >> 1 for c in g.codes}
+        for hs in pool:
+            verdict = in_a_g_plus(g, hs)
+            assert verdict == H.in_a_g_plus_by_window(g, hs)
+            seen.update(positive=verdict, negative=not verdict, absent=hs.label_index not in labels)
+
+    check()
+    assert seen["positive"] >= 450 and seen["negative"] >= 1800 and seen["absent"] >= 400, seen
 
 
 def test_in_a_g_plus_matches_definition(four_gen_graphs):

@@ -123,10 +123,19 @@ def test_rejects_bad_input():
         (["a\n"], [], "invalid vertex name 'a\\n'"),
         (None, [], "vertices and edges must be iterables"),
         (["a"], None, "vertices and edges must be iterables"),
+        ("ab", [], "vertices and edges must be iterables, not strings"),
+        (b"ab", [], "vertices and edges must be iterables, not strings"),
+        (["a", "b"], "ab", "vertices and edges must be iterables, not strings"),
+        (["a", "b"], ["ab"], "malformed edge 'ab'"),
+        (["a", "b"], [b"ab"], "malformed edge b'ab'"),
     ],
 )
 def test_malformed_constructor_input_is_a_syntax_error(vertices, edges, message):
-    """Bad names, a one-ended edge, an unhashable endpoint, no vertex or edge list."""
+    """Bad names, a one-ended edge, an unhashable endpoint, no vertex or edge list.
+
+    A string is not a list of names, nor an edge: ``'ab'`` is not split into
+    ``a`` and ``b``.
+    """
     with pytest.raises(GraphSyntaxError) as info:
         DefiningGraph(vertices, edges)
     assert str(info.value) == message

@@ -113,6 +113,29 @@ def test_only_raag_errors_escape():
 @pytest.mark.parametrize(
     "call",
     [
+        lambda: DefiningGraph("ab", []),
+        lambda: DefiningGraph(["a", "b"], "ab"),
+        lambda: DefiningGraph(["a", "b"], ["ab"]),
+        lambda: AngledComplex("vw", [], []),
+        lambda: AngledComplex(["v", "w"], [(1, "vw")], []),
+        lambda: AngledComplex(["v"], [(1, ("v", "v"))], [("f", [1], "1")]),
+        lambda: parse_complex('{"vertices": ["v", "w"], "edges": [{"id": 1, "ends": "vw"}], "faces": []}'),
+        lambda: parse_complex(
+            '{"vertices": ["v"], "edges": [{"id": 1, "ends": ["v", "v"]}],'
+            ' "faces": [{"id": "f", "boundary": [1], "angles": "1"}]}'
+        ),
+    ],
+    ids=["vertices", "edges", "edge", "complex-vertices", "ends", "angles", "json-ends", "json-angles"],
+)
+def test_a_string_is_not_a_list(call):
+    """A string where a list belongs is an error, not split into one-character entries."""
+    with pytest.raises(RaagError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
         lambda: max_inverse_overlap(CyclicWord(Word.parse(P3, "ac")), mode="fast"),
         lambda: projection_overlap_bound(CyclicWord(Word.parse(P3, "ac")), mode="fast"),
         lambda: verify_key_lemma(Word.parse(P3, "ac"), mode="fast"),
