@@ -22,11 +22,17 @@ poset, so two walls cross iff their positions are incomparable, nest iff they
 are comparable with both half-spaces oriented alike, and the walls between
 two nested ones are the positions between them.  The global variants used
 by the axiom checkers take no context but read the same heap, that of an
-interval both walls separate.  One reduction ``u = reduce(b_h^-1 b_k)``
-fixes it: it starts at the end of h's edge on the far side of h from
-``b_k`` and ends at the end of k's edge on the far side of k from that
-start.  h's wall is then the first letter of its generator and k's the
-last of its own, and only the heap of the stretch between them is built.
+interval both walls separate.  They take each wall as ``(base, label,
+sign)`` at any base of its coset, raw or canonical, so the axiom and
+no-overlap searches translate walls without canonicalising them.  One
+reduction ``u = reduce(b_h^-1 b_k)`` fixes the interval: it starts at the
+end of h's edge on the far side of h from ``b_k`` and ends at the end of
+k's edge on the far side of k from that start.  h's wall is then the first
+letter of its generator and k's the last of its own, and the stretch
+between them is all that is read: it has one position exactly when the two
+are one wall, the walls nest when the last position lies in the up-set of
+the first, and tightly when no position lies in that up-set and in the
+down-set of the last.  Each set is one bitmask pass; no heap is built.
 ``in_a_g_plus`` reads the same nesting: g's axis enters H exactly when
 ``H ⊋ g·H`` (g skewers H), one reduction of ``b^-1 g b`` for the base ``b``.
 The median of ``x, y, z`` is ``x`` times the meet of
@@ -135,13 +141,22 @@ class HalfSpace:
         return f"HalfSpace{self.display()}"
 
 
-def _halfspace_at(graph: DefiningGraph, point: bytes, code: int) -> HalfSpace:
-    """The half-space entered by crossing the edge from ``point`` along ``code``."""
-    gen = code >> 1
+def _wall_at(point: bytes, code: int) -> tuple[bytes, int, int]:
+    """The half-space entered by crossing the edge from ``point`` along ``code``.
+
+    It is given as ``(base codes, label, sign)`` at a raw base of its coset,
+    neither reduced nor canonical.
+    """
     if code & 1:
         # the positively-oriented form of the same edge starts at point*a^-1
-        point += bytes([code])
-    return HalfSpace(graph, _canon_base(graph, point, gen), gen, -1 if code & 1 else 1)
+        return point + bytes([code]), code >> 1, -1
+    return point, code >> 1, 1
+
+
+def _halfspace_at(graph: DefiningGraph, point: bytes, code: int) -> HalfSpace:
+    """The canonical half-space entered by crossing the edge from ``point`` along ``code``."""
+    base, gen, sign = _wall_at(point, code)
+    return HalfSpace(graph, _canon_base(graph, base, gen), gen, sign)
 
 
 def halfspace_of_edge(x: Word, letter: Letter | tuple[str, int] | str) -> HalfSpace:
@@ -461,6 +476,30 @@ def _stretch(graph: DefiningGraph, h: tuple, k: tuple) -> tuple[bytes, bool, boo
     return w[lo : hi + 1], x_head == (s_h > 0), y_head != (s_k > 0)
 
 
+def _reach(graph: DefiningGraph, word: bytes, positions: range) -> int:
+    """Bitmask of the positions above the first of ``positions`` in the heap of ``word``.
+
+    ``positions`` runs through the word from that position; run backwards,
+    it gives the positions below it.  One pass: a position is above when its
+    letter fails to commute with that of the first or of one already found.
+    """
+    nc = graph._nc_mask
+    blocked, reached = nc[word[positions[0]]], 0
+    for r in positions[1:]:
+        if (blocked >> word[r]) & 1:
+            blocked |= nc[word[r]]
+            reached |= 1 << r
+    return reached
+
+
+def _walls_cross(graph: DefiningGraph, h: tuple, k: tuple) -> bool:
+    """:func:`hyperplanes_cross` for two walls as :func:`_stretch` takes them."""
+    if not (graph._lk_mask[h[1]] >> k[1]) & 1:
+        return False
+    stretch, _, _ = _stretch(graph, h, k)
+    return not stretch or not (_reach(graph, stretch, range(len(stretch))) >> len(stretch) - 1) & 1
+
+
 def hyperplanes_cross(h: HalfSpace, k: HalfSpace) -> bool:
     """Whether the underlying hyperplanes cross, tested globally.
 
@@ -468,20 +507,33 @@ def hyperplanes_cross(h: HalfSpace, k: HalfSpace) -> bool:
     distinct).  Then, as in :func:`crosses`, the walls cross iff neither
     position lies below the other in the heap of an interval both separate.
     """
-    graph = _require_same_graph(h, k)
-    if not (graph._lk_mask[h.label_index] >> k.label_index) & 1:
-        return False
-    stretch, _, _ = _stretch(graph, h.sort_key(), k.sort_key())
-    return not stretch or not _comparable(_heap_down(graph, stretch), 0, len(stretch) - 1)
+    return _walls_cross(_require_same_graph(h, k), h.sort_key(), k.sort_key())
 
 
-def _global_nesting(graph: DefiningGraph, h: tuple, k: tuple) -> tuple[Optional[int], list[int]]:
-    """The nesting direction of two walls as :func:`_stretch` takes them, and the stretch's heap."""
-    stretch, neg_h, neg_k = _stretch(graph, h, k)
-    if neg_h != neg_k or not stretch:  # orientations are compared before any heap is built
-        return None, []
-    down = _heap_down(graph, stretch)
-    return _direction(down, 0, neg_h, len(down) - 1, neg_k), down
+def _nesting_in(
+    graph: DefiningGraph, stretch: bytes, neg_h: bool, neg_k: bool
+) -> tuple[Optional[int], bool]:
+    """The nesting direction and tightness of the walls at the ends of a :func:`_stretch`.
+
+    The walls nest when they are oriented alike and the last position lies
+    above the first (a one-position stretch is one wall); the walls between
+    them sit at the positions above the first and below the last.  Each set
+    is one pass, so no heap is built.
+    """
+    if neg_h != neg_k or not stretch:
+        return None, False
+    last = len(stretch) - 1
+    up = _reach(graph, stretch, range(last + 1))
+    if not (up >> last) & 1:
+        return None, False
+    down = _reach(graph, stretch, range(last, -1, -1))
+    # oriented toward the end, the half-space of the lower position contains the other's
+    return (-1 if neg_h else 1), not up & down
+
+
+def _global_nesting(graph: DefiningGraph, h: tuple, k: tuple) -> tuple[Optional[int], bool]:
+    """Nesting direction and tightness of two walls as :func:`_stretch` takes them."""
+    return _nesting_in(graph, *_stretch(graph, h, k))
 
 
 def nested_globally(h: HalfSpace, k: HalfSpace) -> Optional[int]:
@@ -500,8 +552,7 @@ def tightly_nested_globally(h: HalfSpace, k: HalfSpace) -> bool:
     as in :func:`tightly_nested`, tight means that no heap position lies
     above one wall's and below the other's.
     """
-    direction, down = _global_nesting(_require_same_graph(h, k), h.sort_key(), k.sort_key())
-    return direction is not None and not _between(down, 0, len(down) - 1)
+    return _global_nesting(_require_same_graph(h, k), h.sort_key(), k.sort_key())[1]
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +565,12 @@ def _require_cyclically_reduced(g: Word) -> None:
         raise EmptyWord("the element must be nontrivial")
     if not is_cyclically_reduced(g):
         raise NotCyclicallyReduced(f"{g.display()!r} is not cyclically reduced")
+
+
+def _attracts(graph: DefiningGraph, g_codes: bytes, wall: tuple) -> bool:
+    """:func:`in_a_g_plus` for cyclically reduced ``g`` and a wall as :func:`_stretch` takes it."""
+    base, a, sign = wall
+    return _global_nesting(graph, wall, (g_codes + base, a, sign))[0] == 1
 
 
 def in_a_g_plus(g: Word, hs: HalfSpace) -> bool:
@@ -535,12 +592,12 @@ def in_a_g_plus(g: Word, hs: HalfSpace) -> bool:
     does not: ``g^N ∈ H`` and ``g^-N ∉ H``.
 
     The nesting is read as :func:`nested_globally` reads it, with ``g·H``
-    given at the base ``g·b``: one reduction, of ``b^-1·g·b``.
+    given at the raw base ``g·b``: one reduction, of ``b^-1·g·b``.  H may
+    itself be given at any base of its coset, so the no-overlap search
+    tests raw translates through the same reading and checks ``g`` once.
     """
     _require_cyclically_reduced(g)
-    graph = _require_same_graph(g, hs)
-    base, a, sign = hs.sort_key()
-    return _global_nesting(graph, (base, a, sign), (g.codes + base, a, sign))[0] == 1
+    return _attracts(_require_same_graph(g, hs), g.codes, hs.sort_key())
 
 
 # ---------------------------------------------------------------------------
@@ -603,10 +660,14 @@ def check_special_axioms(
     (s3) H and f(H̄) are never tightly nested, and
     (s4) when H, K are tightly nested, H never crosses f(K).
     Any hit is recorded as a violation (it would witness an implementation
-    bug, not new mathematics).  s1 and s2 hold by construction: ``act`` keeps
-    the label and the sign, so f(H̄) has the sign opposite to H, and crossing
-    needs adjacent labels, so H never crosses a wall of its own label.  Both
-    are kept as checks of the representation.
+    bug, not new mathematics).  Walls stay at the raw bases they are drawn
+    at, and translates are raw too: f(H̄) is ``(f·b, a, -s)`` for H at
+    ``(b, a, s)``; only a violation message canonicalises H and K.  s1 and
+    s3 read one :func:`_stretch` of H and f(H̄): they are one wall exactly
+    when it has one position, and f(H̄) = H when the two are also oriented
+    alike.  s1 and s2 hold by construction: f(H̄) has the sign opposite to
+    H, and crossing needs adjacent labels, so H never crosses a wall of its
+    own label.  Both are kept as checks of the representation.
     """
     rng = random.Random(seed)
     pool = ball(graph, radius)
@@ -616,30 +677,36 @@ def check_special_axioms(
     if not n_letters:
         report.checked = counts
         return report
-    for _ in range(samples):
-        h = _halfspace_at(graph, rng.choice(pool).codes, rng.randrange(n_letters))
-        k = _halfspace_at(graph, rng.choice(pool).codes, rng.randrange(n_letters))
-        f = rng.choice(pool)
 
-        f_h_bar = act(f, h.complement())
+    def show(edge: tuple[bytes, int]) -> str:
+        return _halfspace_at(graph, *edge).display()
+
+    for _ in range(samples):
+        h_edge = rng.choice(pool).codes, rng.randrange(n_letters)
+        k_edge = rng.choice(pool).codes, rng.randrange(n_letters)
+        f = rng.choice(pool)
+        h = b, a, s = _wall_at(*h_edge)
+        k = b_k, c, s_k = _wall_at(*k_edge)
+
+        stretch, neg_h, neg_f = _stretch(graph, h, (f.codes + b, a, -s))
         counts["s1"] += 1
-        if f_h_bar == h:
-            report.violations.append(f"s1: f={f.display()} H={h.display()}")
+        if len(stretch) == 1 and neg_h == neg_f:
+            report.violations.append(f"s1: f={f.display()} H={show(h_edge)}")
 
         counts["s2"] += 1
-        if hyperplanes_cross(h, f_h_bar.complement()):
-            report.violations.append(f"s2: f={f.display()} H={h.display()}")
+        if _walls_cross(graph, h, (f.codes + b, a, s)):
+            report.violations.append(f"s2: f={f.display()} H={show(h_edge)}")
 
         counts["s3"] += 1
-        if tightly_nested_globally(h, f_h_bar):
-            report.violations.append(f"s3: f={f.display()} H={h.display()}")
+        if _nesting_in(graph, stretch, neg_h, neg_f)[1]:
+            report.violations.append(f"s3: f={f.display()} H={show(h_edge)}")
 
         counts["s4"] += 1
-        if tightly_nested_globally(h, k):
+        if _global_nesting(graph, h, k)[1]:
             counts["s4_eligible"] += 1
-            if hyperplanes_cross(h, act(f, k)):
+            if _walls_cross(graph, h, (f.codes + b_k, c, s_k)):
                 report.violations.append(
-                    f"s4: f={f.display()} H={h.display()} K={k.display()}"
+                    f"s4: f={f.display()} H={show(h_edge)} K={show(k_edge)}"
                 )
     report.checked = counts
     return report
@@ -758,11 +825,14 @@ def search_prop_noov_violation(
     element f of length at most ``radius`` the reversed translate is tested:
     a violation means every half-space of [f*y, f*x] still lies in the
     attracting family.  Those half-spaces, oriented toward f*x, are the
-    translates f(H̄) of the walls H of [x, y], so only [x, y] is built.  None
-    is expected; the identity element is the canonical near-miss (it
-    reverses the segment exactly).  The premise holds by construction, since
-    the axis crosses every wall of a forward segment forward; the
-    ``premise_failures`` count stays as a check of :func:`in_a_g_plus`.
+    translates f(H̄) of the walls H of [x, y], so only [x, y] is built, and
+    each f(H̄) is tested at its raw base: ``(f·b, a, -s)`` for H at
+    ``(b, a, s)``.  ``g`` is checked to be cyclically reduced once, here,
+    and no translate is canonicalised.  None is expected; the identity
+    element is the canonical near-miss (it reverses the segment exactly).
+    The premise holds by construction, since the axis crosses every wall of
+    a forward segment forward; the ``premise_failures`` count stays as a
+    check of :func:`in_a_g_plus`.
     """
     _require_cyclically_reduced(g)
     graph = g.graph
@@ -783,14 +853,14 @@ def search_prop_noov_violation(
     for i, j in pairs:
         x = Word(graph, _axis_point(graph, g.codes, i))
         y = Word(graph, _axis_point(graph, g.codes, j))
-        walls = interval(x, y).halfspaces
-        if not all(in_a_g_plus(g, hs) for hs in walls):
+        walls = [hs.sort_key() for hs in interval(x, y)]
+        if not all(_attracts(graph, g.codes, wall) for wall in walls):
             report.premise_failures += 1
             continue
         report.pairs_checked += 1
         for f in pool:
             report.triples_checked += 1
-            if all(in_a_g_plus(g, act(f, hs.complement())) for hs in walls):
+            if all(_attracts(graph, g.codes, (f.codes + b, a, -s)) for b, a, s in walls):
                 report.violations.append(
                     f"f={f.display()} carries [{x.display()}, {y.display()}] "
                     "backwards inside the attracting family"

@@ -1197,3 +1197,110 @@ def random_valid_complex(rng: random.Random):
         ]
         faces.append((fid, list(boundary), new_angles))
     return AngledComplex(list(cx.vertices), list(cx.edges.items()), faces)
+
+
+# ---------------------------------------------------------------------------
+# the axiom and no-overlap searches on canonical half-spaces
+# ---------------------------------------------------------------------------
+#
+# ``cube.check_special_axioms`` and ``cube.search_prop_noov_violation``
+# before they read raw coset bases, kept verbatim as oracles: every
+# translate is canonicalised through ``act``, every relation goes through
+# the public global relations, and ``in_a_g_plus`` checks ``g`` per call.
+# They reuse the package's ball, half-spaces and relations; they concern
+# how the searches form their walls.
+
+
+def check_special_axioms_by_act(graph, samples: int = 1000, radius: int = 3, seed: int = 0x5C1):
+    """``check_special_axioms`` with each translate formed by ``act``."""
+    from raagkit.cube import (
+        SpecialAxiomsReport,
+        _halfspace_at,
+        act,
+        ball,
+        hyperplanes_cross,
+        tightly_nested_globally,
+    )
+
+    rng = random.Random(seed)
+    pool = ball(graph, radius)
+    n_letters = graph.letter_count
+    report = SpecialAxiomsReport(radius=radius, samples=samples, seed=seed)
+    counts = {"s1": 0, "s2": 0, "s3": 0, "s4": 0, "s4_eligible": 0}
+    if not n_letters:
+        report.checked = counts
+        return report
+    for _ in range(samples):
+        h = _halfspace_at(graph, rng.choice(pool).codes, rng.randrange(n_letters))
+        k = _halfspace_at(graph, rng.choice(pool).codes, rng.randrange(n_letters))
+        f = rng.choice(pool)
+
+        f_h_bar = act(f, h.complement())
+        counts["s1"] += 1
+        if f_h_bar == h:
+            report.violations.append(f"s1: f={f.display()} H={h.display()}")
+
+        counts["s2"] += 1
+        if hyperplanes_cross(h, f_h_bar.complement()):
+            report.violations.append(f"s2: f={f.display()} H={h.display()}")
+
+        counts["s3"] += 1
+        if tightly_nested_globally(h, f_h_bar):
+            report.violations.append(f"s3: f={f.display()} H={h.display()}")
+
+        counts["s4"] += 1
+        if tightly_nested_globally(h, k):
+            counts["s4_eligible"] += 1
+            if hyperplanes_cross(h, act(f, k)):
+                report.violations.append(
+                    f"s4: f={f.display()} H={h.display()} K={k.display()}"
+                )
+    report.checked = counts
+    return report
+
+
+def noov_search_by_act(g, radius: int = 3, samples: int = 200, seed: int = 0x5C1):
+    """``search_prop_noov_violation`` with each translate f(H̄) formed by ``act``."""
+    from raagkit import Word
+    from raagkit.cube import (
+        NoOverlapSearchReport,
+        _axis_point,
+        _require_cyclically_reduced,
+        act,
+        ball,
+        in_a_g_plus,
+        interval,
+    )
+
+    _require_cyclically_reduced(g)
+    graph = g.graph
+    rng = random.Random(seed)
+    period = len(g.codes)
+    offsets = range(-2 * period, 2 * period + 1)
+    pairs = [
+        (i, j)
+        for i in offsets
+        for j in offsets
+        if j > i and 2 * (j - i) > period
+    ]
+    if len(pairs) > samples:
+        pairs = sorted(rng.sample(pairs, samples))
+    pool = ball(graph, radius)
+    report = NoOverlapSearchReport(g=g, radius=radius, samples=samples, seed=seed)
+    report.elements_checked = len(pool)
+    for i, j in pairs:
+        x = Word(graph, _axis_point(graph, g.codes, i))
+        y = Word(graph, _axis_point(graph, g.codes, j))
+        walls = interval(x, y).halfspaces
+        if not all(in_a_g_plus(g, hs) for hs in walls):
+            report.premise_failures += 1
+            continue
+        report.pairs_checked += 1
+        for f in pool:
+            report.triples_checked += 1
+            if all(in_a_g_plus(g, act(f, hs.complement())) for hs in walls):
+                report.violations.append(
+                    f"f={f.display()} carries [{x.display()}, {y.display()}] "
+                    "backwards inside the attracting family"
+                )
+    return report

@@ -11,6 +11,8 @@ quadrants of ``member`` over them.  The global relations and ``member``
 are checked, again over random graphs, against the distance and interval
 formulation in ``helpers.py``, longest chains against an enumeration of
 nested runs, and the no-overlap search against one interval per element.
+The axiom and no-overlap searches, which keep walls at raw coset bases, are
+checked against their canonical forms, which translate through ``act``.
 ``in_a_g_plus`` is checked against its definition with a large explicit
 power and against the power-window probes it replaced.  Distances fall out
 of normal forms, which test_words.py pins to the elementary-moves oracle.
@@ -18,9 +20,10 @@ of normal forms, which test_words.py pins to the elementary-moves oracle.
 
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers as H
@@ -58,6 +61,9 @@ from raagkit import (
     tightly_nested,
     tightly_nested_globally,
 )
+
+
+F2 = DefiningGraph(["a", "b"], [])
 
 
 def w(graph, text):
@@ -454,6 +460,71 @@ def test_global_relations_match_interval_oracle():
     assert all(seen[ends] >= n for ends, n in floors.items()), seen
 
 
+def test_stretch_reads_raw_walls(suite_graphs):
+    """The stretch of two raw walls has one position exactly when they are one wall.
+
+    Walls are ``(base, label, sign)`` at raw bases: the ends of a random
+    path, which need not be reduced and whose odd codes shift the base by a
+    letter.  The second wall is the first at another base of its coset
+    (``b·z``, ``z`` in ``<lk(a)>``) in either orientation, a translate
+    ``(f·b, a, -s)`` as axiom s1 forms it, a wall crossed later on the same
+    path (the same wall when the path backtracks), or a random wall.
+    "One position" is judged against ``_canon_base`` equality, and the s1
+    reading (one position, same orientation) against equality of the
+    canonical half-spaces.  ``_global_nesting`` must agree with the public
+    relations at the canonical bases and with the probe and interval
+    oracles of ``helpers.py``.
+    """
+    seen = Counter()
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        graph=H.random_graphs() | st.sampled_from(list(suite_graphs.values())),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(graph, seed):
+        rng = random.Random(seed)
+        n = graph.letter_count
+
+        def codes(hi, letters=range(n)):
+            return bytes(rng.choice(letters) for _ in range(rng.randint(0, hi)))
+
+        def canonical(wall):
+            base, a, sign = wall
+            return cube.HalfSpace(graph, cube._canon_base(graph, base, a), a, sign)
+
+        for _ in range(3):
+            start, path = codes(4), codes(6) + bytes([rng.randrange(n)])
+            walls = [cube._wall_at(start + path[:i], c) for i, c in enumerate(path)]
+            h = b, a, s = walls[0]
+            link = [c for c in range(n) if (graph._lk_mask[a] >> (c >> 1)) & 1]
+            z = codes(3, link) if link else b""
+            pairs = [(h, (b + z, a, s)), (h, (b + z, a, -s)), (h, (codes(3) + b, a, -s))]
+            pairs += [(h, k) for k in walls[1:]]
+            pairs += [(h, cube._wall_at(codes(5), rng.randrange(n)))]
+            for p, q in pairs:
+                for u, v in ((p, q), (q, p)):
+                    hc, kc = canonical(u), canonical(v)
+                    stretch, neg_u, neg_v = cube._stretch(graph, u, v)
+                    same = hc.wall_key() == kc.wall_key()
+                    assert (len(stretch) == 1) == same
+                    assert (len(stretch) == 1 and neg_u == neg_v) == (hc == kc)
+                    direction, tight = cube._global_nesting(graph, u, v)
+                    assert (direction, tight) == (
+                        nested_globally(hc, kc),
+                        tightly_nested_globally(hc, kc),
+                    )
+                    assert direction == H.nested_by_probes(hc, kc)
+                    assert tight == H.tight_by_interval(hc, kc)
+                    seen.update(
+                        same=same, equal=hc == kc, nested=direction is not None, tight=tight
+                    )
+
+    check()
+    assert seen["same"] >= 2000 and seen["equal"] >= 800, seen
+    assert seen["nested"] >= 1500 and seen["tight"] >= 600, seen
+
+
 # -- chains -----------------------------------------------------------------
 
 
@@ -693,6 +764,160 @@ def test_check_special_axioms_small(p3):
     assert d["checked"]["s2"] == 60
     # pins the sampled half-spaces: drawing letters another way moves this count
     assert check_special_axioms(p3, samples=600, radius=2, seed=1).checked["s4_eligible"] == 42
+
+
+def _walls_logged(log: Counter):
+    """Patches that count the walls each global relation is handed, canonicalised.
+
+    ``_walls_cross`` and ``_attracts`` count their verdicts too.  The public
+    relations and ``in_a_g_plus`` call the same three functions, so the
+    searches and their oracles in ``helpers.py`` count alike when they test
+    the same half-spaces as often.  The walls of the intervals built are
+    counted under ``"interval walls"``.
+    """
+
+    def building(x, y):
+        ctx = interval(x, y)
+        log["interval walls"] += len(ctx)
+        return ctx
+
+    def logging(name, verdict):
+        fn = getattr(cube, name)
+
+        def wrapper(graph, *args):
+            result = fn(graph, *args)
+            raw = [arg for arg in args if isinstance(arg, tuple)]  # not g's codes
+            walls = tuple((cube._canon_base(graph, b, a), a, s) for b, a, s in raw)
+            log[name, walls, result if verdict else None] += 1
+            return result
+
+        return wrapper
+
+    return mock.patch.multiple(
+        cube,
+        _stretch=logging("_stretch", False),
+        _walls_cross=logging("_walls_cross", True),
+        _attracts=logging("_attracts", True),
+        interval=building,
+    )
+
+
+def test_searches_match_canonical_oracles(suite_graphs):
+    """Both searches on raw coset bases against their canonical forms in ``helpers.py``.
+
+    The oracles form every translate with ``act`` and read it through the
+    public global relations and ``in_a_g_plus``.  The JSON reports must be
+    equal, counts and violations included, and so must the logs of every
+    wall handed to the relations: a report shows no verdict that holds.
+    A translate f(H̄) attracts only when ``g`` crosses walls of one label
+    both ways, as ``abAB`` does; the examples pin two such elements.
+    """
+    seen = Counter()
+
+    def logged(search, *args, **kwargs):
+        log = Counter()
+        with _walls_logged(log):
+            return search(*args, **kwargs).to_json_dict(), log
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        graph=H.random_graphs() | st.sampled_from(list(suite_graphs.values())),
+        radius=st.integers(0, 3),
+        samples=st.integers(0, 300),
+        pairs=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        word=st.lists(st.integers(0, 9), min_size=1, max_size=4),
+    )
+    @example(graph=F2, radius=3, samples=0, pairs=12, seed=1, word=[0, 2, 1, 3])  # abAB
+    @example(graph=F2, radius=2, samples=0, pairs=12, seed=2, word=[0, 3, 1, 2])  # aBAb
+    def check(graph, radius, samples, pairs, seed, word):
+        got = logged(check_special_axioms, graph, samples=samples, radius=radius, seed=seed)
+        assert got == logged(H.check_special_axioms_by_act, graph, samples, radius, seed)
+        seen.update(s4_eligible=got[0]["checked"]["s4_eligible"], relations=sum(got[1].values()))
+        g = cyclically_reduce(Word(graph, bytes(c % graph.letter_count for c in word))).core
+        if g.is_identity:
+            return
+        got = logged(search_prop_noov_violation, g, radius=radius, samples=pairs, seed=seed)
+        assert got == logged(H.noov_search_by_act, g, radius=radius, samples=pairs, seed=seed)
+        assert got[0]["premise_failures"] == 0  # every interval wall attracts
+        attracting = sum(n for key, n in got[1].items() if key[0] == "_attracts" and key[2])
+        seen.update(searches=1, reversed=attracting - got[1]["interval walls"])
+
+    check()
+    assert seen["s4_eligible"] >= 450 and seen["searches"] >= 120, seen
+    assert seen["reversed"] >= 9, seen  # the two examples give 9
+
+
+def test_check_special_axioms_reports_planted_faults(p3):
+    """Each axiom is reported on every sample once its relation is made to hold.
+
+    At radius 0 the only element is the identity, so f(H̄) is H's wall; a
+    ``_stretch`` that reports both walls oriented alike makes it H itself
+    (s1).  Walls that always cross give s2 on every sample and s4 on every
+    eligible one; walls that always nest tightly give s3 on every sample and
+    make every sample eligible for s4.
+    """
+    real = cube._stretch
+
+    def same_side(graph, h, k):
+        stretch, neg_h, _ = real(graph, h, k)
+        return stretch, neg_h, neg_h
+
+    def run(name, fake, radius):
+        with mock.patch.object(cube, name, fake):
+            report = check_special_axioms(p3, samples=25, radius=radius, seed=3)
+        assert all(" H=(" in v for v in report.violations)
+        return report.checked, Counter(v.split(": f=")[0] for v in report.violations)
+
+    checked, found = run("_stretch", same_side, 0)
+    assert found["s1"] == 25, found
+    checked, found = run("_walls_cross", lambda graph, h, k: True, 2)
+    assert found == {"s2": 25, "s4": checked["s4_eligible"]} and found["s4"] > 0, found
+    checked, found = run("_nesting_in", lambda graph, *stretch: (1, True), 2)
+    assert found["s3"] == checked["s4_eligible"] == 25 and set(found) <= {"s3", "s4"}, found
+
+
+def test_searches_canonicalise_no_translate(suite_graphs):
+    """No search canonicalises a translate, and the no-overlap search checks ``g`` once.
+
+    ``check_special_axioms`` makes no ``_canon_base`` call when nothing is
+    violated (the ball is built from normal forms).  The no-overlap search
+    canonicalises the walls of the intervals it builds and no more, so its
+    count does not grow with the ball of elements f.
+    """
+    calls = Counter()
+
+    def counting(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def building(x, y):
+        ctx = interval(x, y)
+        calls["interval walls"] += len(ctx)
+        return ctx
+
+    with mock.patch.multiple(
+        cube,
+        _canon_base=counting(cube._canon_base),
+        _require_cyclically_reduced=counting(cube._require_cyclically_reduced),
+        interval=building,
+    ):
+        for graph in suite_graphs.values():
+            assert check_special_axioms(graph, samples=200, radius=3, seed=7).ok
+        assert not calls
+        for graph, text in ((suite_graphs["c5"], "acBD"), (suite_graphs["k3_pendant"], "abdc")):
+            counts = set()
+            for radius in (0, 1, 3):
+                calls.clear()
+                report = search_prop_noov_violation(w(graph, text), radius=radius, samples=12)
+                assert report.ok and report.triples_checked > 0
+                assert calls["_require_cyclically_reduced"] == 1
+                assert calls["_canon_base"] == calls["interval walls"] > 0
+                counts.add(calls["_canon_base"])
+            assert len(counts) == 1, counts
 
 
 def test_check_max_chains_small(p3):

@@ -398,10 +398,12 @@ def test_projection_bound_matches_name_candidates(suite_graphs, grotzsch):
         n=st.sampled_from((1, 2, 3)),
         mode=st.sampled_from(("disjoint", "any")),
     )
-    # two of the rare ties: the coloring {v2, z}, {u2, u4} against the walk's
-    # {v2, u2, u4}, {z}, and {v3, z}, {u3, u4} against {v3, u3}, {u4}, {z}
+    # three of the rare ties: the coloring {v2, z}, {u2, u4} against the walk's
+    # {v2, u2, u4}, {z}; {v3, z}, {u3, u4} against {v3, u3}, {u4}, {z}; and
+    # {v2, z}, {u0, u2, u4} against {v2, u0, u2, u4}, {z}
     @example(name="grotzsch", seed=100, size=4, n=1, mode="disjoint")
     @example(name="grotzsch", seed=228, size=4, n=1, mode="any")
+    @example(name="grotzsch", seed=271, size=5, n=1, mode="disjoint")
     def check(name, seed, size, n, mode):
         graph = graphs[name]
         cw = _projection_sample(graph, seed, size, n)
