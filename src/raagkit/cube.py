@@ -825,11 +825,14 @@ def search_prop_noov_violation(
     element f of length at most ``radius`` the reversed translate is tested:
     a violation means every half-space of [f*y, f*x] still lies in the
     attracting family.  Those half-spaces, oriented toward f*x, are the
-    translates f(H̄) of the walls H of [x, y], so only [x, y] is built, and
-    each f(H̄) is tested at its raw base: ``(f·b, a, -s)`` for H at
-    ``(b, a, s)``.  ``g`` is checked to be cyclically reduced once, here,
-    and no translate is canonicalised.  None is expected; the identity
-    element is the canonical near-miss (it reverses the segment exactly).
+    translates f(H̄) of the walls H of [x, y].  Those walls are read raw,
+    with :func:`_wall_at`, along the geodesic that ``nf(x^-1 y)`` spells
+    from x, in the order :class:`Interval` lists them: each edge crosses one
+    of them toward y.  Each f(H̄) is tested at its raw base: ``(f·b, a, -s)``
+    for H at ``(b, a, s)``.  ``g`` is checked to be cyclically reduced once,
+    here, and no wall or translate is canonicalised.  None is expected; the
+    identity element is the canonical near-miss (it reverses the segment
+    exactly).
     The premise holds by construction, since the axis crosses every wall of
     a forward segment forward; the ``premise_failures`` count stays as a
     check of :func:`in_a_g_plus`.
@@ -853,7 +856,8 @@ def search_prop_noov_violation(
     for i, j in pairs:
         x = Word(graph, _axis_point(graph, g.codes, i))
         y = Word(graph, _axis_point(graph, g.codes, j))
-        walls = [hs.sort_key() for hs in interval(x, y)]
+        path = _nf_of(graph, _inv_codes(x.codes) + y.codes)
+        walls = [_wall_at(x.codes + path[:t], c) for t, c in enumerate(path)]
         if not all(_attracts(graph, g.codes, wall) for wall in walls):
             report.premise_failures += 1
             continue

@@ -73,9 +73,11 @@ class DefiningGraph:
         self.vertices: tuple[str, ...] = tuple(names)
         self.index: dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
 
-        # bit j of _lk_mask[i] is set when vertices i and j share an edge
+        # bit j of _lk_mask[i] is set when vertices i and j share an edge;
+        # bits 2j and 2j + 1 of pair[i] when they do, one bit per letter of j
         n = len(self.vertices)
         lk = [0] * n
+        pair = [0] * n
         for edge in edges:
             try:
                 if isinstance(edge, (str, bytes)):
@@ -92,6 +94,8 @@ class DefiningGraph:
                 raise LoopEdge(f"edge {a}-{b} is a loop")
             lk[i] |= 1 << j
             lk[j] |= 1 << i
+            pair[i] |= 3 << 2 * j
+            pair[j] |= 3 << 2 * i
         self._lk_mask: tuple[int, ...] = tuple(lk)
         self.edges: frozenset[tuple[str, str]] = frozenset(
             (v, self.vertices[j]) for i, v in enumerate(self.vertices)
@@ -101,11 +105,35 @@ class DefiningGraph:
         # Letter codes: generator i contributes code 2*i (positive) and
         # 2*i + 1 (inverse).  Byte comparison of coded words is then exactly
         # the lexicographic letter order used by normal forms.  Both letters
-        # of generator i commute with the letters of its neighbours only.
+        # of generator i commute with the letters of its neighbours only, so
+        # they share one mask.
         letters = (1 << 2 * n) - 1
         self._nc_mask: tuple[int, ...] = tuple(
-            letters ^ sum(3 << 2 * j for j in _indices(lk[c >> 1])) for c in range(2 * n)
+            letters ^ pair[c >> 1] for c in range(2 * n)
         )
+        # Join factors: the components of the complement graph, found by a
+        # bitmask search over the non-neighbours.  A(graph) is the direct
+        # product of the factors' groups.  Per factor, the letter codes
+        # outside it, which ``bytes.translate`` deletes to project a word
+        # onto it; empty when there are fewer than two factors.
+        rest, kept = (1 << n) - 1, []
+        while rest:
+            factor = frontier = rest & -rest
+            codes = bytearray()
+            while frontier:
+                v = frontier.bit_length() - 1
+                frontier ^= 1 << v
+                codes += bytes((2 * v, 2 * v + 1))
+                new = rest & ~lk[v] & ~factor
+                factor |= new
+                frontier |= new
+            rest &= ~factor
+            kept.append(codes)
+        all_codes = bytes(range(2 * n))
+        self._factor_drops: tuple[bytes, ...] = (
+            tuple(all_codes.translate(None, codes) for codes in kept) if len(kept) > 1 else ()
+        )
+
         # Word-parsing tables: a token ``name`` or ``name^-1`` to its code,
         # and, by ordinal for ``str.translate``, a one-character name to its
         # code as a character and its upper case, unless that is a vertex

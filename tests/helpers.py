@@ -64,6 +64,25 @@ def nc_masks_by_pairs(names, edges) -> list[int]:
     return masks
 
 
+def join_factors_by_non_edges(names, edges) -> list[list[str]]:
+    """The vertex sets of the join factors: components of the complement graph.
+
+    Union-find over every pair of distinct vertices that share no edge; the
+    factors are listed by their first vertex, each in vertex order.
+    """
+    adj = adj_set(names, edges)
+    uf = UnionFind()
+    for i, a in enumerate(names):
+        uf.find(a)
+        for b in names[i + 1 :]:
+            if b not in adj[a]:
+                uf.union(a, b)
+    factors: dict[str, list[str]] = {}
+    for v in names:
+        factors.setdefault(uf.find(v), []).append(v)
+    return list(factors.values())
+
+
 def first_triangle_by_triples(names, edges):
     """The first pairwise adjacent triple in vertex order, by brute force, or None."""
     adj = adj_set(names, edges)
@@ -933,7 +952,13 @@ def median_by_front_letters(graph, x: bytes, y: bytes, z: bytes) -> bytes:
 def rotation_classes(graph, max_len: int) -> list[bytes]:
     """Every cyclically reduced word of length <= max_len, one per rotation class.
 
-    Cyclic reduction is the stripping oracle, not the package's.
+    Cyclic reduction is the stripping oracle, not the package's.  A prefix
+    that is not a prenecklace (a prefix of some least rotation) has no least
+    rotation among its extensions, so its subtree is skipped: the test is the
+    Fredricksen–Kessler–Maiorana one, which keeps the period ``p`` of the
+    prefix's longest Lyndon prefix and compares each new letter with the
+    letter ``p`` places back (Ruskey–Savage–Wang, J. Algorithms 13, 1992).
+    The walk and its order are otherwise unchanged.
     """
     n2 = graph.letter_count
     nc = graph._nc_mask
@@ -950,7 +975,7 @@ def rotation_classes(graph, max_len: int) -> list[bytes]:
                 return True
         return True
 
-    def visit() -> None:
+    def visit(period: int) -> None:
         if prefix:
             b = bytes(prefix)
             if b == min_rotation(b):
@@ -959,12 +984,14 @@ def rotation_classes(graph, max_len: int) -> list[bytes]:
                     out.append(b)
         if len(prefix) < max_len:
             for c in range(n2):
-                if ok_append(c):
-                    prefix.append(c)
-                    visit()
-                    prefix.pop()
+                back = prefix[len(prefix) - period] if prefix else c
+                if c < back or not ok_append(c):
+                    continue
+                prefix.append(c)
+                visit(period if c == back else len(prefix))
+                prefix.pop()
 
-    visit()
+    visit(1)
     return out
 
 

@@ -69,11 +69,22 @@ def test_library_calls_leave_the_graph_unchanged(k3_pendant):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(H.random_graph_data())
 def test_link_masks_match_edge_lists(data):
-    """Every adjacency query reads the link masks; each agrees with the edge list."""
+    """Every adjacency query reads the link masks; each agrees with the edge list.
+
+    So do the commutation masks and the join-factor table, which lists the
+    letters outside each component of the complement graph when there are
+    at least two.
+    """
     names, edges = data
     g = DefiningGraph(names, edges)
     adj = H.adj_set(names, edges)
     assert list(g._nc_mask) == H.nc_masks_by_pairs(names, edges)
+    factors = H.join_factors_by_non_edges(names, edges)
+    kept = [set(range(g.letter_count)).difference(drop) for drop in g._factor_drops]
+    assert kept == [
+        {c for v in factor for c in (2 * names.index(v), 2 * names.index(v) + 1)}
+        for factor in factors
+    ] * (len(factors) > 1)
     assert g._lk_mask == tuple(sum(1 << names.index(u) for u in adj[v]) for v in names)
     assert g.edges == frozenset(edges)  # drawn as (a, b) with a before b
     for v in names:

@@ -6,7 +6,9 @@ the defining relations until the closure stabilizes.
 """
 
 import random
+import sys
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,7 +37,15 @@ from raagkit import (
     power,
     reduce,
 )
-from raagkit.words import MAX_WORD_LETTERS, _inv_codes, _nf_of, _reduce_codes, _strip_suffix_in
+from raagkit import words
+from raagkit.words import (
+    _SPLIT_LETTERS,
+    MAX_WORD_LETTERS,
+    _inv_codes,
+    _nf_of,
+    _reduce_codes,
+    _strip_suffix_in,
+)
 
 
 def w(graph, text):
@@ -454,6 +464,213 @@ def test_meet_matches_stripping_oracles():
 
     check()
     assert seen["conjugated"] >= 60 and seen["met"] >= 150, seen
+
+
+# -- join graphs: work factor by factor --------------------------------------
+
+
+def _join(left, right):
+    """The join of two graphs given as (names, edges): every left vertex meets every right one."""
+    (names_l, edges_l), (names_r, edges_r) = left, right
+    cross = [(a, b) for a in names_l for b in names_r]
+    return DefiningGraph(names_l + names_r, edges_l + edges_r + cross)
+
+
+def _renamed(data, letters):
+    names, edges = data
+    rename = dict(zip(names, letters))
+    return [rename[v] for v in names], [(rename[a], rename[b]) for a, b in edges]
+
+
+def _complete(n):
+    names = list("abcdef"[:n])
+    return DefiningGraph(names, [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]])
+
+
+#: F2 x Z: a and b generate a free group, and c commutes with both
+F2_TIMES_Z = DefiningGraph(["a", "b", "c"], [("a", "c"), ("b", "c")])
+#: p3 joined with p3: F(a, c) x Z x F(d, f) x Z, four factors
+P3_JOIN = _join((list("abc"), [("a", "b"), ("b", "c")]), (list("def"), [("d", "e"), ("e", "f")]))
+
+
+def join_graphs():
+    """Graphs with two or more join factors, and a few with one.
+
+    A random graph joined with a random graph; Z^n (complete graphs, n
+    singleton factors); F2 x Z; K_{m,n}, a free group times a free group;
+    and, with one factor or none, free groups and the graphs on 0 and 1
+    vertices.
+    """
+    edgeless = st.integers(1, 3).map(lambda m: (list("abc"[:m]), []))
+    return st.one_of(
+        st.tuples(H.random_graph_data(), H.random_graph_data()).map(
+            lambda pair: _join(pair[0], _renamed(pair[1], "fghij"))
+        ),
+        st.integers(2, 6).map(_complete),
+        st.just(F2_TIMES_Z),
+        st.tuples(edgeless, edgeless.map(lambda d: _renamed(d, "xyz"))).map(lambda pair: _join(*pair)),
+        st.sampled_from([DefiningGraph([], []), DefiningGraph(["a"], []), DefiningGraph(["a", "b", "c"], [])]),
+    )
+
+
+def _agrees_on_join(graph, x: bytes, y: bytes) -> bytes:
+    """Check ``x`` (and ``equal(x, y)``) against the oracles, split and unsplit.
+
+    Each word is checked twice: at the real split length, and with
+    ``_SPLIT_LETTERS`` at 0, which sends every word, short ones included,
+    through the factors.  The normal form is the greedy scan's, and on words
+    of at most 6 letters the least geodesic of ``helpers.moves_closure``;
+    ``equal`` agrees with the oracle's normal forms; the core and conjugator
+    are the stripping oracle's.  Returns the conjugator.
+    """
+
+    def oracle(codes):
+        return H.normal_form_by_greedy_scan(graph, _reduce_codes(graph, codes))
+
+    nf = oracle(x)
+    core, conj = H.cyclic_reduction_by_stripping(graph, x)
+    core = H.normal_form_by_greedy_scan(graph, core)
+    geodesics = [nf]
+    if len(x) <= 6:
+        names, edges = graph.vertices, {tuple(e) for e in graph.edges}
+        closure = H.moves_closure(names, edges, to_tuples(Word(graph, x)))
+        geodesics = [Word.from_letters(graph, u).codes for u in closure if len(u) == len(nf)]
+    for split_at in (0, _SPLIT_LETTERS):
+        with mock.patch.object(words, "_SPLIT_LETTERS", split_at):
+            assert _nf_of(graph, x) == normal_form(Word(graph, x)).codes == nf == min(geodesics)
+            assert equal(Word(graph, x), Word(graph, y)) == (nf == oracle(y))
+            red = cyclically_reduce(Word(graph, x))
+            assert (red.core.codes, red.conjugator.codes) == (core, conj)
+    return conj
+
+
+def test_join_graphs_work_factor_by_factor():
+    """Normal forms, equality and cyclic reduction on join graphs, against ``helpers.py``.
+
+    Words are drawn below and above the split length; a third end in a
+    shuffled inverse of one of their prefixes, so that cancellations reach
+    across the factors, and a third are conjugated.  The second word of each
+    ``equal`` check is drawn the same way or is the first word's normal form
+    with a cancelling pair inserted.  See ``_agrees_on_join``.
+    """
+    seen = Counter()
+
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    @given(graph=join_graphs(), data=st.data())
+    def check(graph, data):
+        if not graph.letter_count:
+            assert _nf_of(graph, b"") == b"" and equal(Word(graph, b""), Word(graph, b""))
+            return
+        letters = st.integers(0, graph.letter_count - 1)
+
+        def draw_word():
+            long = data.draw(st.booleans())
+            size = st.integers(_SPLIT_LETTERS, _SPLIT_LETTERS + 24) if long else st.integers(0, 8)
+            codes = bytes(data.draw(st.lists(letters, min_size=(n := data.draw(size)), max_size=n)))
+            tail = data.draw(st.sampled_from(["none", "shuffled", "conjugated"]))
+            if tail == "shuffled":
+                prefix = codes[: data.draw(st.integers(0, len(codes)))]
+                codes += bytes(data.draw(st.permutations(list(_inv_codes(prefix)))))
+            elif tail == "conjugated":
+                p = bytes(data.draw(st.lists(letters, min_size=1, max_size=8)))
+                codes = p + codes + _inv_codes(p)
+            return codes
+
+        x = draw_word()
+        if data.draw(st.booleans()):
+            nf = _nf_of(graph, x)
+            at = data.draw(st.integers(0, len(nf)))
+            c = data.draw(letters)
+            y = nf[:at] + bytes([c, c ^ 1]) + nf[at:]
+        else:
+            y = draw_word()
+        _agrees_on_join(graph, x, y)
+        joined = len(graph._factor_drops) > 1
+        split = joined and len(x) >= _SPLIT_LETTERS and len(words._factor_parts(graph, x)) > 1
+        seen.update(split=split, moves=len(x) <= 6 and joined)
+
+    check()
+    assert seen["split"] >= 60 and seen["moves"] >= 40, seen
+
+
+def test_join_graph_conjugates_match_oracles():
+    """Long conjugated words on fixed join graphs, from a seeded corpus.
+
+    Each word is ``p w p^-1`` with ``|w|`` at least the split length, so the
+    conjugator reaches across the factors; ``_agrees_on_join`` checks it.
+    The corpus is seeded with ``random.Random``, not drawn by hypothesis, so
+    its count of nonempty conjugators does not move with hypothesis' draws.
+    """
+    rng = random.Random(0x5C1)
+    graphs = [F2_TIMES_Z, _complete(3), _join((["a", "b"], []), (["x", "y", "z"], [])), P3_JOIN]
+    conjugated = 0
+    for graph in graphs:
+        for _ in range(12):
+            w_codes = bytes(rng.randrange(graph.letter_count) for _ in range(rng.randint(_SPLIT_LETTERS, 48)))
+            p = bytes(rng.randrange(graph.letter_count) for _ in range(rng.randint(1, 8)))
+            x = p + w_codes + _inv_codes(p)
+            y = _inv_codes(p) + w_codes + p if rng.random() < 0.5 else x[::-1]
+            conjugated += len(_agrees_on_join(graph, x, y)) > 0
+    assert conjugated >= 25, conjugated  # 28: none on Z^3, where conjugation is trivial
+
+
+def test_split_work_is_linear_on_commuting_runs():
+    """On Z^2, ``a^N b^N a^-N`` costs work linear in its length, not quadratic.
+
+    The scan kernels ``_nf_scan`` and ``_reduce_codes`` are wrapped: every
+    call that ``normal_form``, ``equal`` and ``cyclically_reduce`` make sees
+    the letters of one join factor only, so no scan walks back past a
+    commuting letter of another factor.  The work is counted, not timed:
+    ``sys.settrace`` counts the lines the kernels execute, and for N from 16
+    to 4,000 the letters handed to them and the lines they run stay under
+    fixed multiples of the word length n.  Scanned whole, each ``a^-1``
+    would walk back past all N letters ``b``: about N^2 lines.
+    """
+    z2 = DefiningGraph(["a", "b"], [("a", "b")])
+    kernels = {words._nf_scan.__code__, words._reduce_codes.__code__}
+    lines = Counter()
+    supports = Counter()
+
+    def tracer(frame, event, arg):
+        if frame.f_code not in kernels:
+            return None
+
+        def count(frame, event, arg):
+            lines[event] += 1
+            return count
+
+        return count
+
+    def wrapped(fn):
+        def wrapper(graph, codes):
+            supports[frozenset(c >> 1 for c in codes)] += 1
+            lines["letters in"] += len(codes)
+            return fn(graph, codes)
+
+        return wrapper
+
+    for n_power in (16, 250, 1000, 4000):
+        word = Word.parse(z2, f"a^{n_power} b^{n_power} a^-{n_power}")
+        other = Word.parse(z2, f"b^{n_power} a^{n_power} b a^-{n_power}")
+        n = len(word)
+        lines.clear()
+        supports.clear()
+        previous = sys.gettrace()
+        with mock.patch.multiple(
+            words, _nf_scan=wrapped(words._nf_scan), _reduce_codes=wrapped(words._reduce_codes)
+        ):
+            sys.settrace(tracer)
+            try:
+                nf = normal_form(word)
+                same, differ = equal(word, nf), equal(word, other)
+                red = cyclically_reduce(word)
+            finally:
+                sys.settrace(previous)
+        assert nf.codes == bytes([2]) * n_power and same and not differ
+        assert red.core == nf and red.conjugator.is_identity
+        assert all(len(support) <= 1 for support in supports), supports
+        # 5.7 n letters and 61 n lines at every N today
+        assert lines["letters in"] <= 6 * n and lines["line"] <= 80 * n, (n, lines)
 
 
 # -- CyclicWord -------------------------------------------------------------
