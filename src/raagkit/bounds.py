@@ -16,7 +16,7 @@ from typing import Optional
 
 from .errors import GraphMismatch, UnknownMode
 from .graphs import Coloring, DefiningGraph, chromatic_number, find_triangle
-from .words import Word, exponent_vector, reduce
+from .words import Word, _exponent_sums, _is_trivial
 
 #: Named constants from the surrounding literature, for display next to
 #: certificates.  Values are exact and informational only.
@@ -46,13 +46,10 @@ def is_scl_finite(g: Word) -> bool:
     """True iff some nonzero power of ``g`` lies in the commutator subgroup.
 
     The abelianization is free abelian, so this happens exactly when the
-    exponent vector of the reduced word vanishes.
+    exponent vector vanishes.  Reduction does not change exponent sums, so
+    they are read off the word's own letters; nothing is reduced.
     """
-    return _exponents_vanish(reduce(g))
-
-
-def _exponents_vanish(reduced: Word) -> bool:
-    return all(v == 0 for v in exponent_vector(reduced).values())
+    return not any(_exponent_sums(g.graph, g.codes))
 
 
 @dataclass(frozen=True)
@@ -115,11 +112,10 @@ def scl_lower_bound(graph: DefiningGraph, g: Word, mode: str = "exact") -> Bound
         raise GraphMismatch("the element lives over a different graph")
     triangle_free = find_triangle(graph) is None
     coloring, exact = None, True
-    reduced = reduce(g)
-    if reduced.is_identity:
-        finite, bound, route = True, Fraction(0), ROUTE_ZERO
-    elif not _exponents_vanish(reduced):
+    if any(_exponent_sums(graph, g.codes)):
         finite, bound, route = False, None, ROUTE_INFINITE
+    elif _is_trivial(graph, g.codes):
+        finite, bound, route = True, Fraction(0), ROUTE_ZERO
     else:
         k, coloring, exact = chromatic_number(graph, mode=mode)
         finite, bound, route = True, Fraction(1, 6 * k), ROUTE_COLORING
@@ -149,9 +145,9 @@ def verify_certificate(cert: BoundCertificate) -> bool:
     graph = cert.graph
     if cert.element.graph != graph:
         return False
-    reduced = reduce(cert.element)
-    trivial = reduced.is_identity
-    finite = _exponents_vanish(reduced)
+    codes = cert.element.codes
+    finite = not any(_exponent_sums(graph, codes))
+    trivial = finite and _is_trivial(graph, codes)
     triangle_free = find_triangle(graph) is None
     if cert.triangle_free_witness != triangle_free:
         return False

@@ -12,8 +12,12 @@ from __future__ import annotations
 
 import random
 import re
+import sys
+from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, permutations
+from unittest import mock
 
 from hypothesis import strategies as st
 
@@ -880,6 +884,54 @@ def normal_form_by_greedy_scan(graph, reduced: bytes) -> bytes:
             blocked |= nc[c]
         out.append(remaining.pop(best_pos))
     return bytes(out)
+
+
+@contextmanager
+def count_kernel_work():
+    """Count the work of the word engine's scan kernels inside a ``with`` block.
+
+    ``words._nf_scan`` and ``words._reduce_codes`` are wrapped with
+    ``mock``, and ``sys.settrace`` counts the lines they execute.  Yields a
+    ``Counter`` and a list.  The counter holds each kernel's calls under its
+    name, the letters handed to either under ``"letters in"`` and the lines
+    they ran under ``"line"``; the list holds, per call, the set of vertex
+    names its letters use.  Work is counted, not timed, so a bound on it
+    does not move with the host.
+    """
+    from raagkit import words
+
+    kernels = {words._nf_scan.__code__, words._reduce_codes.__code__}
+    work = Counter()
+    supports = []
+
+    def tracer(frame, event, arg):
+        if frame.f_code not in kernels:
+            return None
+
+        def count(frame, event, arg):
+            work[event] += 1
+            return count
+
+        return count
+
+    def wrapped(fn):
+        def wrapper(graph, codes):
+            work[fn.__name__] += 1
+            work["letters in"] += len(codes)
+            supports.append(frozenset(graph.vertices[c >> 1] for c in codes))
+            return fn(graph, codes)
+
+        return wrapper
+
+    previous = sys.gettrace()
+    with mock.patch.multiple(
+        words, _nf_scan=wrapped(words._nf_scan), _reduce_codes=wrapped(words._reduce_codes)
+    ):
+        sys.settrace(tracer)
+        try:
+            yield work, supports
+        finally:
+            sys.settrace(previous)
 
 
 def _movable_codes(graph, codes) -> list[tuple[int, int]]:

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import helpers as H
 from raagkit import (
+    DefiningGraph,
     GraphMismatch,
     Word,
     is_scl_finite,
@@ -30,6 +32,37 @@ def test_is_scl_finite(p3):
     assert not is_scl_finite(w(p3, "a"))
     assert not is_scl_finite(w(p3, "aab"))
     assert is_scl_finite(w(p3, "1"))
+
+
+def test_bounds_work_is_linear_on_commuting_runs():
+    """On Z^2, certificates for ``a^N b^N a^-N b^-N`` and ``a^N b^N a^-N`` cost linear work.
+
+    The bounds need only the element's exponent sums, read off its own
+    letters, and its triviality, which ``words._is_trivial`` decides factor
+    by factor on a join graph.  The scan kernels are wrapped
+    (``helpers.count_kernel_work``): for N from 16 to 4,000 the trivial
+    element (route zero) costs scans of one factor at a time, with the
+    letters handed to them and the lines they run under fixed multiples of
+    the word length n, and the element of nonzero exponent sum (route
+    infinite) costs no scan.  Reduced whole, each ``a^-1`` would walk back
+    past all N letters ``b``: about N^2 lines.
+    """
+    z2 = DefiningGraph(["a", "b"], [("a", "b")])
+    for n_power in (16, 250, 1000, 4000):
+        trivial = w(z2, f"a^{n_power} b^{n_power} a^-{n_power} b^-{n_power}")
+        infinite = w(z2, f"a^{n_power} b^{n_power} a^-{n_power}")
+        n = len(trivial)
+        with H.count_kernel_work() as (work, supports):
+            zero = scl_lower_bound(z2, trivial)
+            assert zero.route == ROUTE_ZERO and verify_certificate(zero)
+        assert all(len(support) <= 1 for support in supports), supports
+        # 2 n letters and 22 n lines at every N today
+        assert work["letters in"] <= 2 * n and work["line"] <= 30 * n, (n, work)
+        with H.count_kernel_work() as (work, _):
+            cert = scl_lower_bound(z2, infinite)
+            assert cert.route == ROUTE_INFINITE and verify_certificate(cert)
+            assert not is_scl_finite(infinite)
+        assert not work, work
 
 
 def test_free_group_commutator(edgeless2):

@@ -6,7 +6,6 @@ the defining relations until the closure stabilizes.
 """
 
 import random
-import sys
 from collections import Counter
 from unittest import mock
 
@@ -416,6 +415,63 @@ def test_normal_form_matches_greedy_scan():
     check()
 
 
+def test_equal_where_exponent_sums_cannot_decide():
+    """``equal`` on pairs whose exponent sums agree, against ``helpers.py``.
+
+    ``equal`` rejects a pair whose sums differ before any reduction, so
+    these pairs agree there and only the reduction can decide: a word
+    against a shuffle of its own letters, against itself with a cancelling
+    pair inserted, and against its conjugate by a commutator
+    ``k = u v u^-1 v^-1``.  Half the words have 32 to 56 letters, so that
+    on a join graph ``equal`` works factor by factor; these are checked
+    against ``helpers.normal_form_by_greedy_scan`` of both sides, and words
+    of at most 3 letters (at most 11 with the commutator) against
+    ``helpers.oracle_canonical``.  ``exponent_vector`` of both words is
+    checked against a count of their letters.
+    """
+    seen = Counter()
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(graph=H.random_graphs(), data=st.data())
+    def check(graph, data):
+        letters = st.integers(0, graph.letter_count - 1)
+        long = data.draw(st.booleans())
+        size = data.draw(st.integers(_SPLIT_LETTERS, _SPLIT_LETTERS + 24) if long else st.integers(0, 3))
+        x = bytes(data.draw(st.lists(letters, min_size=size, max_size=size)))
+        kind = data.draw(st.sampled_from(["shuffle", "cancel", "commutator"]))
+        if kind == "shuffle":
+            y = bytes(data.draw(st.permutations(list(x))))
+        elif kind == "cancel":
+            at = data.draw(st.integers(0, len(x)))
+            c = data.draw(letters)
+            y = x[:at] + bytes([c, c ^ 1]) + x[at:]
+        else:
+            factor = st.lists(letters, min_size=1, max_size=3 if long else 1)
+            u, v = bytes(data.draw(factor)), bytes(data.draw(factor))
+            k = u + v + _inv_codes(u) + _inv_codes(v)
+            y = k + x + _inv_codes(k)
+        wx, wy = Word(graph, x), Word(graph, y)
+        sums = {vertex: sum(s for name, s in wx.letters() if name == vertex) for vertex in graph.vertices}
+        assert exponent_vector(wx) == exponent_vector(wy) == sums
+        if long:
+            expected = H.normal_form_by_greedy_scan(graph, _reduce_codes(graph, x)) == (
+                H.normal_form_by_greedy_scan(graph, _reduce_codes(graph, y))
+            )
+        else:
+            names, edges = graph.vertices, {tuple(e) for e in graph.edges}
+            expected = H.oracle_canonical(names, edges, to_tuples(wx)) == (
+                H.oracle_canonical(names, edges, to_tuples(wy))
+            )
+        assert equal(wx, wy) == expected
+        seen[kind, expected] += 1
+        if long and len(words._factor_parts(graph, x + _inv_codes(y))) > 1:
+            seen["split", expected] += 1
+
+    check()
+    assert seen["shuffle", False] >= 24 and seen["commutator", False] >= 18, seen
+    assert seen["split", False] >= 11 and seen["split", True] >= 65, seen
+
+
 def test_meet_matches_stripping_oracles():
     """Cyclic reduction and medians through ``words._meet``, against ``helpers.py``.
 
@@ -614,63 +670,70 @@ def test_join_graph_conjugates_match_oracles():
     assert conjugated >= 25, conjugated  # 28: none on Z^3, where conjugation is trivial
 
 
-def test_split_work_is_linear_on_commuting_runs():
+def test_split_work_is_linear_on_commuting_runs(p3):
     """On Z^2, ``a^N b^N a^-N`` costs work linear in its length, not quadratic.
 
-    The scan kernels ``_nf_scan`` and ``_reduce_codes`` are wrapped: every
+    The scan kernels are wrapped (``helpers.count_kernel_work``): every
     call that ``normal_form``, ``equal`` and ``cyclically_reduce`` make sees
     the letters of one join factor only, so no scan walks back past a
-    commuting letter of another factor.  The work is counted, not timed:
-    ``sys.settrace`` counts the lines the kernels execute, and for N from 16
-    to 4,000 the letters handed to them and the lines they run stay under
-    fixed multiples of the word length n.  Scanned whole, each ``a^-1``
-    would walk back past all N letters ``b``: about N^2 lines.
+    commuting letter of another factor.  For N from 16 to 4,000 the letters
+    handed to the kernels and the lines they run stay under fixed multiples
+    of the word length n.  Scanned whole, each ``a^-1`` would walk back past
+    all N letters ``b``: about N^2 lines.  The unequal pair on Z^2 differs
+    in its exponent sums and is decided before any scan, so an unequal pair
+    with equal sums on p3 = F(a, c) x <b>, ``a c a^-1 c^-1 b^N`` against
+    ``b^N``, keeps the factor path of ``equal`` covered.
     """
     z2 = DefiningGraph(["a", "b"], [("a", "b")])
-    kernels = {words._nf_scan.__code__, words._reduce_codes.__code__}
-    lines = Counter()
-    supports = Counter()
-
-    def tracer(frame, event, arg):
-        if frame.f_code not in kernels:
-            return None
-
-        def count(frame, event, arg):
-            lines[event] += 1
-            return count
-
-        return count
-
-    def wrapped(fn):
-        def wrapper(graph, codes):
-            supports[frozenset(c >> 1 for c in codes)] += 1
-            lines["letters in"] += len(codes)
-            return fn(graph, codes)
-
-        return wrapper
-
     for n_power in (16, 250, 1000, 4000):
         word = Word.parse(z2, f"a^{n_power} b^{n_power} a^-{n_power}")
         other = Word.parse(z2, f"b^{n_power} a^{n_power} b a^-{n_power}")
+        commutator_run = Word.parse(p3, f"a c a^-1 c^-1 b^{n_power}")
+        run = Word.parse(p3, f"b^{n_power}")
         n = len(word)
-        lines.clear()
-        supports.clear()
-        previous = sys.gettrace()
-        with mock.patch.multiple(
-            words, _nf_scan=wrapped(words._nf_scan), _reduce_codes=wrapped(words._reduce_codes)
-        ):
-            sys.settrace(tracer)
-            try:
-                nf = normal_form(word)
-                same, differ = equal(word, nf), equal(word, other)
-                red = cyclically_reduce(word)
-            finally:
-                sys.settrace(previous)
-        assert nf.codes == bytes([2]) * n_power and same and not differ
+        with H.count_kernel_work() as (work, supports):
+            nf = normal_form(word)
+            same, differ = equal(word, nf), equal(word, other)
+            differ_on_p3 = equal(commutator_run, run)
+            red = cyclically_reduce(word)
+        assert nf.codes == bytes([2]) * n_power and same and not differ and not differ_on_p3
         assert red.core == nf and red.conjugator.is_identity
-        assert all(len(support) <= 1 for support in supports), supports
-        # 5.7 n letters and 61 n lines at every N today
-        assert lines["letters in"] <= 6 * n and lines["line"] <= 80 * n, (n, lines)
+        assert all(support <= {"a", "c"} or support == {"b"} for support in supports), supports
+        # 3.4 n letters and 36 n lines at every N today
+        assert work["letters in"] <= 6 * n and work["line"] <= 80 * n, (n, work)
+
+
+def test_exponent_sums_and_empty_meets_skip_kernels(p3, c5, k3_pendant):
+    """An ``equal`` whose exponent sums differ scans nothing; an empty conjugator costs one pass.
+
+    Counted with ``helpers.count_kernel_work`` on seeded random words of up
+    to 60 letters over p3, c5, k3_pendant and Z^2; three of these are joins,
+    so long words take the factor path.  ``equal`` of a word against a
+    shuffle of it with one more letter calls neither kernel.  When
+    ``cyclically_reduce`` finds an empty conjugator, it calls ``_nf_scan``
+    once per nonempty factor projection (once on the whole word below the
+    split length or on a graph with one factor) and ``_reduce_codes``
+    never: the meet's first-letter test finds it empty.
+    """
+    rng = random.Random(0x5C1)
+    z2 = DefiningGraph(["a", "b"], [("a", "b")])
+    seen = Counter()
+    for graph in (p3, c5, k3_pendant, z2):
+        for _ in range(40):
+            x = bytes(rng.randrange(graph.letter_count) for _ in range(rng.randint(0, 60)))
+            y = bytes(rng.sample(x, len(x))) + bytes([rng.randrange(graph.letter_count)])
+            with H.count_kernel_work() as (work, _):
+                assert not equal(Word(graph, x), Word(graph, y))
+            assert not work, work
+            if not cyclically_reduce(Word(graph, x)).conjugator.is_identity:
+                continue
+            split = len(x) >= _SPLIT_LETTERS and graph._factor_drops
+            parts = len(words._factor_parts(graph, x)) if split else 1
+            with H.count_kernel_work() as (work, _):
+                cyclically_reduce(Word(graph, x))
+            assert work["_nf_scan"] == parts and not work["_reduce_codes"], (x, work)
+            seen.update(split=parts > 1, whole=parts == 1)
+    assert seen["split"] >= 40 and seen["whole"] >= 75, seen  # 49 and 84
 
 
 # -- CyclicWord -------------------------------------------------------------
