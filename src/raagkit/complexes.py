@@ -36,6 +36,9 @@ def _parse_angle(raw: object) -> Fraction:
     if isinstance(raw, (int, Fraction)):
         return Fraction(raw)
     if isinstance(raw, str):
+        # Fraction("1e10000000") would compute the power of ten in full
+        if "e" in raw or "E" in raw:
+            raise InconsistentComplex(f"angle {raw!r} is not a rational: no exponent notation")
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:

@@ -167,12 +167,28 @@ def _closure_scan(
     the rarest).  Swaps and rotations only permute letters, so every class
     of the closure holds ``r`` equally often; ``seen`` holds, for each
     admitted class, all its rotations that begin with ``r``, so a neighbour
-    can be looked up by any one of them; the walk takes the one at its
-    first ``r``.  Only a new class pays for its ``r``-rotations and its
-    least rotation; the least letter is the same in every class too, so
-    when ``r`` is that letter the least rotation is the least of them.
-    The queue order, and so the probes, the witness and the classes a cap
-    lets in, are those of keying every class by its least rotation.
+    can be looked up by any one of them.
+
+    Those rotations are kept as base-256 integers.  Every word of the walk
+    has ``n`` letters, so the integer determines the word, even one that
+    starts with code 0.  Each dequeued class is read once as ``R``, its
+    rotation at its first ``r``; a commuting swap of letters a, b at
+    offsets j, j + 1 of ``R`` adds ``(b - a) * 255`` times the place value
+    of offset j + 1.  For 0 < j < n - 1 that sum is the neighbour's key.
+    At j = 0 the swap moves ``r`` on, and the sum is turned left by one
+    letter; the wrap pair j = n - 1 moves ``r`` back across the end, so
+    ``R`` is turned right first and the pair swapped at offsets 0, 1.
+    Shifts are computed per swap, so no table of n integers of n bytes is
+    built.  Only a new class is turned back into bytes, once, to find its
+    ``r``s: its keys are turns of the neighbour's key.  The least letter
+    is the same in every class too, so when ``r`` is that letter the least
+    rotation is the least key; otherwise it is ``_least_rotation``.
+    Neighbours are still taken in the order of the least rotation's
+    positions and tested against ``seen`` and then the cap, so the queue
+    order, and so the probes, the witness and the classes a cap lets in,
+    are those of keying every class by its least rotation.  A walked class
+    leaves the queue's slot empty, so the bytes kept are those of the
+    frontier, beside the keys.
 
     A length-1 overlap is a generator occurring with both signs, which the
     closure cannot change; when ``start`` has none no class has one, and
@@ -182,37 +198,56 @@ def _closure_scan(
     key = min(set(start), key=lambda c: (start.count(c), c))
     key_is_least = key == min(start)
     probe = _pair_at(start, 1, mode) is not None
-    seen = set(_rotations_at(start, key))
-    queue = [start]
+    seen = {int.from_bytes(rot, "big") for rot in _rotations_at(start, key)}
+    queue: list[Optional[bytes]] = [start]
     best = 0
     witness: Optional[Witness] = None
     capped = False
     head = 0
     nc = graph._nc_mask
+    # the bit offsets of a key's second and first letters, and its n-byte mask
+    second, first = 8 * (n - 2), 8 * (n - 1)
+    mask = (1 << 8 * n) - 1
     while head < len(queue):
         rep = queue[head]
+        # a walked class is known by its keys in seen alone; len(queue) counts it
+        queue[head] = None
         head += 1
         if probe:
             best, raw = _raw_max_overlap(rep, mode, best)
             if raw is not None:
                 witness = _witness_from(graph, rep, raw)
         doubled = rep * 2
+        p = rep.find(key)
+        rotated = int.from_bytes(doubled[p : p + n], "big")
         for i in range(n):
             a, b = doubled[i], doubled[i + 1]
             if (nc[a] >> b) & 1:
                 continue
-            # the word with a and b swapped, read from the letter after them
-            swapped = doubled[i + 2 : i + n] + bytes((b, a))
-            k = swapped.find(key)
-            nb = swapped[k:] + swapped[:k]
-            if nb in seen:
+            # the swap of a and b at offsets j, j + 1 of the rotation at key
+            j = i - p if i >= p else i - p + n
+            if j == 0:
+                # key moves on: b key ..., turned left to start at key
+                x = rotated + ((b - a) * 255 << second)
+                x = (x << 8 | x >> first) & mask
+            elif j == n - 1:
+                # the wrap pair (a, key): turned right, a key ... becomes key a ...
+                x = (rotated >> 8 | a << first) + ((b - a) * 255 << second)
+            else:
+                x = rotated + ((b - a) * 255 << 8 * (n - 2 - j))
+            if x in seen:
                 continue
             if len(queue) >= cap:
                 capped = True
                 continue
-            rots = _rotations_at(nb, key)
-            seen.update(rots)
-            queue.append(min(rots) if key_is_least else _least_rotation(nb))
+            nb = x.to_bytes(n, "big")
+            keys = []
+            k = nb.find(key)
+            while k >= 0:
+                keys.append((x << 8 * k | x >> 8 * (n - k)) & mask)
+                k = nb.find(key, k + 1)
+            seen.update(keys)
+            queue.append(min(keys).to_bytes(n, "big") if key_is_least else _least_rotation(nb))
     return best, witness, len(queue), capped
 
 

@@ -227,6 +227,17 @@ def test_gauss_bonnet_rejects_ends_and_angles_not_given_as_lists(tmp_path, edge,
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("angle", ["1e400", "1E-2"])
+def test_gauss_bonnet_rejects_exponent_angles(tmp_path, angle):
+    data = H.torus_grid(2, 2).to_json_dict()
+    data["faces"][0]["angles"][0] = angle
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(["gauss-bonnet", str(path)])
+    assert (code, out) == (2, "")
+    assert f"angle '{angle}' is not a rational" in err
+
+
 def test_gauss_bonnet_bad_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"vertices": []}')

@@ -284,3 +284,12 @@ def test_parse_complex_rejects_bad_angle():
     data["faces"][0]["angles"][2] = "1/x"
     with pytest.raises(InconsistentComplex, match="angle '1/x' is not a rational"):
         parse_complex(json.dumps(data))
+
+
+@pytest.mark.parametrize("angle", ["1e400", "1E-2"])
+def test_parse_complex_rejects_exponent_notation(angle):
+    # Fraction("1e10000000") would compute ten to that power before returning
+    data = one_square_torus().to_json_dict()
+    data["faces"][0]["angles"][2] = angle
+    with pytest.raises(InconsistentComplex, match=f"angle '{angle}' is not a rational"):
+        parse_complex(json.dumps(data))

@@ -7,6 +7,7 @@ class by its least rotation (``helpers.closure_scan_by_least_rotation``).
 """
 
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -256,6 +257,24 @@ def test_closure_classes_match_brute_force(suite_graphs, case, n, mode):
     mode=st.sampled_from(("disjoint", "any")),
     reps_cap=st.sampled_from((1, 2, 5, 200_000)),
 )
+# one walk per case of the integer-keyed lookup; counts are (put, on, wrap),
+# lookups where the key letter r stays put, moves on (j = 0) or moves back
+# across the wrap (j = n - 1), over n = 1, 2, 3 in turn.
+# c5 aceb: r occurs n times; at n = 1 the start's one commuting pair is the
+# wrap pair (b, a); (4, 4, 4), (53, 13, 14), (322, 50, 48)
+@example(source="c5", seed=3813, n_max=3, mode="disjoint", reps_cap=200_000)
+# c5 cdac: r = a commutes with no letter of the word; (4, 0, 0), (16, 0, 0), (44, 0, 0)
+@example(source="c5", seed=7, n_max=3, mode="any", reps_cap=200_000)
+# c5 AABe: r = B is not the least letter, so classes are queued by
+# _least_rotation; (4, 2, 2), (65, 9, 14), (825, 78, 121)
+@example(source="c5", seed=20, n_max=3, mode="any", reps_cap=200_000)
+# p3 BBCAAC: r = A occurs twice at n = 1; (24, 4, 4)
+@example(source="p3", seed=12, n_max=1, mode="any", reps_cap=200_000)
+# k3_pendant BCDbcd: r = b is the least letter and occurs twice at n = 2, where
+# the witness lies past the start class: its class is queued as the least key
+@example(source="k3_pendant", seed=773, n_max=2, mode="disjoint", reps_cap=200_000)
+# k3_pendant AAbb: r occurs 2, 4 and 6 times, and the cap stops each walk at 5 classes
+@example(source="k3_pendant", seed=31, n_max=3, mode="disjoint", reps_cap=5)
 def test_closure_walk_matches_least_rotation_walk(suite_graphs, source, seed, n_max, mode, reps_cap):
     """Whole reports against the walk that keys every class by its least rotation.
 
@@ -279,6 +298,22 @@ def test_closure_walk_matches_least_rotation_walk(suite_graphs, source, seed, n_
     with mock.patch.object(overlap, "_closure_scan", H.closure_scan_by_least_rotation):
         expected = [r.to_json_dict() for r in verify_key_lemma(g, n_max, reps_cap, mode)]
     assert got == expected
+
+
+def test_closure_walk_builds_no_table_per_offset(edgeless2):
+    """A 4,000-letter word is walked in memory linear in its length.
+
+    A table of the n swap deltas, each up to n bytes, would take about 8 MB.
+    """
+    start = cyc(edgeless2, "a b^3999").canonical().codes
+    tracemalloc.start()
+    try:
+        result = overlap._closure_scan(edgeless2, start, "disjoint", overlap.DEFAULT_REPS_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (0, None, 1, False)
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize(
