@@ -29,7 +29,6 @@ _REFERENCE_TABLE = {
 }
 
 ROUTE_COLORING = "coloring"
-ROUTE_TRIANGLE_FREE = "triangle-free"
 ROUTE_BEST_OF_BOTH = "best-of-both"
 ROUTE_INFINITE = "infinite"
 ROUTE_ZERO = "zero"
@@ -164,6 +163,4 @@ def verify_certificate(cert: BoundCertificate) -> bool:
         return (not triangle_free) and cert.bound == coloring_bound
     if cert.route == ROUTE_BEST_OF_BOTH:
         return triangle_free and cert.bound == max(coloring_bound, TRIANGLE_FREE_BOUND)
-    if cert.route == ROUTE_TRIANGLE_FREE:
-        return triangle_free and cert.bound == TRIANGLE_FREE_BOUND
     return False

@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Every subcommand reads a graph file in the line format of
-:func:`raagkit.graphs.parse_graph` (except ``gauss-bonnet``, which reads a
-complex JSON file) and words as single quoted arguments in the word syntax.
-Exit codes: 0 success, 1 a verified property actually failed (a violated
-bound, axiom, or nonzero residual), 2 usage or input errors.
+Every subcommand reads one file, then its words in argument order: a graph
+file in the line format of :func:`raagkit.graphs.parse_graph` (for
+``gauss-bonnet`` a complex JSON file), then each word, a single quoted
+argument in the word syntax, parsed against that graph. Any input error,
+from the file, a word or the computation, exits 2 with that subcommand's
+usage. Exit codes: 0 success, 1 a verified property actually failed (a
+violated bound, axiom, or nonzero residual), 2 usage or input errors.
 
 ``verify-overlap`` walks the rotation/swap closure of each power's core one
 rotation class at a time: its ``reps=`` counts and its ``--reps-cap`` count
@@ -22,11 +24,14 @@ from . import cube
 from .bounds import reference_bounds, scl_lower_bound
 from .complexes import euler_characteristic, gauss_bonnet_residual, parse_complex
 from .errors import RaagError
-from .graphs import DefiningGraph, chromatic_number, parse_graph
+from .graphs import chromatic_number, parse_graph
 from .overlap import _MODES, DEFAULT_REPS_CAP, verify_key_lemma
 from .words import Word, cyclically_reduce, equal, normal_form
 
 DEFAULT_SEED = 0x5C1
+
+# The parser of each kind of input file.
+_PARSE = {"graph": parse_graph, "complex": parse_complex}
 
 
 def _at_least(least: int):
@@ -53,14 +58,8 @@ def _read_input(kind: str, path: str) -> str:
         raise RaagError(f"cannot read {kind} file {path}: {exc}") from None
 
 
-def _load_graph(path: str) -> DefiningGraph:
-    return parse_graph(_read_input("graph", path))
-
-
 def _rat(q) -> str:
-    if q is None:
-        return "inf"
-    return str(q)
+    return "inf" if q is None else str(q)
 
 
 class _ParserExit(Exception):
@@ -86,46 +85,39 @@ class _Parser(argparse.ArgumentParser):
         raise _ParserExit(2, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
-def _add_command(sub, name: str, func, help: str) -> _Parser:
-    """Declare a subcommand: ``run`` calls ``func`` and, after an input error, prints its usage."""
+def _add_command(sub, name: str, func, help: str, *words: str, kind: str = "graph") -> _Parser:
+    """Declare a subcommand: a ``kind`` file, then the named word arguments.
+
+    ``run`` reads the file, parses the words against its graph in argument
+    order, calls ``func(args, out, graph, *words)`` and, after an input
+    error, prints this subcommand's usage.
+    """
     p = sub.add_parser(name, help=help)
-    p.set_defaults(func=func, parser=p)
+    p.add_argument(kind, metavar="complex.json" if kind == "complex" else None)
+    for word in words:
+        p.add_argument(word)
+    p.set_defaults(func=func, parser=p, kind=kind, words=words)
     return p
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="raagkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = _add_command(sub, "nf", _cmd_nf, "normal form of a word")
-    p.add_argument("graph")
-    p.add_argument("word")
-
-    p = _add_command(sub, "cyc", _cmd_cyc, "cyclic reduction of a word")
-    p.add_argument("graph")
-    p.add_argument("word")
-
-    p = _add_command(sub, "eq", _cmd_eq, "decide equality of two words")
-    p.add_argument("graph")
-    p.add_argument("word1")
-    p.add_argument("word2")
+    _add_command(sub, "nf", _cmd_nf, "normal form of a word", "word")
+    _add_command(sub, "cyc", _cmd_cyc, "cyclic reduction of a word", "word")
+    _add_command(sub, "eq", _cmd_eq, "decide equality of two words", "word1", "word2")
 
     p = _add_command(sub, "chromatic", _cmd_chromatic, "chromatic number with a coloring")
-    p.add_argument("graph")
     p.add_argument("--heuristic", action="store_true")
 
-    p = _add_command(sub, "scl-bound", _cmd_scl_bound, "certified scl lower bound")
-    p.add_argument("graph")
-    p.add_argument("word")
+    p = _add_command(sub, "scl-bound", _cmd_scl_bound, "certified scl lower bound", "word")
     p.add_argument("--heuristic", action="store_true")
     p.add_argument("--json", action="store_true")
 
     p = _add_command(
         sub, "verify-overlap", _cmd_verify_overlap,
-        "overlap bound over the rotation classes of each closure",
+        "overlap bound over the rotation classes of each closure", "word",
     )
-    p.add_argument("graph")
-    p.add_argument("word")
     p.add_argument("--n-max", type=_at_least(1), default=4)
     p.add_argument("--reps-cap", type=_at_least(1), default=DEFAULT_REPS_CAP)
     p.add_argument("--mode", choices=_MODES, default="disjoint")
@@ -133,67 +125,44 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cube", help="half-space calculus helpers")
     cube_sub = p.add_subparsers(dest="cube_command", required=True)
-
-    q = _add_command(
-        cube_sub, "interval", _cmd_cube_interval, "half-spaces separating two vertices"
+    _add_command(
+        cube_sub, "interval", _cmd_cube_interval, "half-spaces separating two vertices", "x", "y"
     )
-    q.add_argument("graph")
-    q.add_argument("x")
-    q.add_argument("y")
+    _add_command(cube_sub, "median", _cmd_cube_median, "median of three vertices", "x", "y", "z")
+    for name, func, help, samples in (
+        ("axioms", _cmd_cube_axioms, "randomized search for forbidden configurations", 1000),
+        ("chains", _cmd_cube_chains, "longest-chain midpoint property over samples", 200),
+    ):
+        q = _add_command(cube_sub, name, func, help)
+        q.add_argument("--radius", type=_at_least(0), default=3)
+        q.add_argument("--samples", type=_at_least(0), default=samples)
+        q.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    q = _add_command(cube_sub, "median", _cmd_cube_median, "median of three vertices")
-    q.add_argument("graph")
-    q.add_argument("x")
-    q.add_argument("y")
-    q.add_argument("z")
-
-    q = _add_command(
-        cube_sub, "axioms", _cmd_cube_axioms, "randomized search for forbidden configurations"
+    _add_command(
+        sub, "gauss-bonnet", _cmd_gauss_bonnet, "curvature residual of an angled complex",
+        kind="complex",
     )
-    q.add_argument("graph")
-    q.add_argument("--radius", type=_at_least(0), default=3)
-    q.add_argument("--samples", type=_at_least(0), default=1000)
-    q.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    q = _add_command(
-        cube_sub, "chains", _cmd_cube_chains, "longest-chain midpoint property over samples"
-    )
-    q.add_argument("graph")
-    q.add_argument("--radius", type=_at_least(0), default=3)
-    q.add_argument("--samples", type=_at_least(0), default=200)
-    q.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    p = _add_command(
-        sub, "gauss-bonnet", _cmd_gauss_bonnet, "curvature residual of an angled complex"
-    )
-    p.add_argument("complex", metavar="complex.json")
-
     return parser
 
 
-def _cmd_nf(args, out: TextIO) -> int:
-    graph = _load_graph(args.graph)
-    print(normal_form(Word.parse(graph, args.word)).display(), file=out)
+def _cmd_nf(args, out: TextIO, graph, word) -> int:
+    print(normal_form(word).display(), file=out)
     return 0
 
 
-def _cmd_cyc(args, out: TextIO) -> int:
-    graph = _load_graph(args.graph)
-    reduction = cyclically_reduce(Word.parse(graph, args.word))
+def _cmd_cyc(args, out: TextIO, graph, word) -> int:
+    reduction = cyclically_reduce(word)
     print(f"core: {reduction.core.display()}", file=out)
     print(f"conjugator: {reduction.conjugator.display()}", file=out)
     return 0
 
 
-def _cmd_eq(args, out: TextIO) -> int:
-    graph = _load_graph(args.graph)
-    same = equal(Word.parse(graph, args.word1), Word.parse(graph, args.word2))
-    print("equal" if same else "not equal", file=out)
+def _cmd_eq(args, out: TextIO, graph, word1, word2) -> int:
+    print("equal" if equal(word1, word2) else "not equal", file=out)
     return 0
 
 
-def _cmd_chromatic(args, out: TextIO) -> int:
-    graph = _load_graph(args.graph)
+def _cmd_chromatic(args, out: TextIO, graph) -> int:
     k, coloring, exact = chromatic_number(
         graph, mode="heuristic" if args.heuristic else "exact"
     )
@@ -203,9 +172,7 @@ def _cmd_chromatic(args, out: TextIO) -> int:
     return 0
 
 
-def _cmd_scl_bound(args, out: TextIO) -> int:
-    graph = _load_graph(args.graph)
-    word = Word.parse(graph, args.word)
+def _cmd_scl_bound(args, out: TextIO, graph, word) -> int:
     cert = scl_lower_bound(graph, word, mode="heuristic" if args.heuristic else "exact")
     if args.json:
         print(json.dumps(cert.to_json_dict()), file=out)
@@ -222,9 +189,7 @@ def _cmd_scl_bound(args, out: TextIO) -> int:
     return 0
 
 
-def _cmd_verify_overlap(args, out: TextIO) -> int:
-    graph = _load_graph(args.graph)
-    word = Word.parse(graph, args.word)
+def _cmd_verify_overlap(args, out: TextIO, graph, word) -> int:
     reports = verify_key_lemma(word, n_max=args.n_max, reps_cap=args.reps_cap, mode=args.mode)
     if args.json:
         print(json.dumps([r.to_json_dict() for r in reports]), file=out)
@@ -248,65 +213,49 @@ def _cmd_verify_overlap(args, out: TextIO) -> int:
     return 1 if any(r.violated for r in reports) else 0
 
 
-def _cmd_cube_interval(args, out: TextIO) -> int:
-    graph = _load_graph(args.graph)
-    ctx = cube.interval(Word.parse(graph, args.x), Word.parse(graph, args.y))
+def _cmd_cube_interval(args, out: TextIO, graph, x, y) -> int:
+    ctx = cube.interval(x, y)
     print(f"distance: {len(ctx)}", file=out)
     for hs in ctx.halfspaces:
         print(hs.display(), file=out)
     return 0
 
 
-def _cmd_cube_median(args, out: TextIO) -> int:
-    graph = _load_graph(args.graph)
-    m = cube.median(
-        Word.parse(graph, args.x),
-        Word.parse(graph, args.y),
-        Word.parse(graph, args.z),
-    )
-    print(m.display(), file=out)
+def _cmd_cube_median(args, out: TextIO, graph, x, y, z) -> int:
+    print(cube.median(x, y, z).display(), file=out)
     return 0
 
 
-def _cmd_cube_axioms(args, out: TextIO) -> int:
-    graph = _load_graph(args.graph)
+def _print_audit(out: TextIO, report, counts: str) -> int:
+    """A sampled audit's settings, counts, violations and verdict; its exit code."""
+    print(f"radius: {report.radius} samples: {report.samples} seed: {report.seed}", file=out)
+    print(counts, file=out)
+    for violation in report.violations:
+        print(f"violation: {violation}", file=out)
+    print("ok" if report.ok else "FAIL", file=out)
+    return 0 if report.ok else 1
+
+
+def _cmd_cube_axioms(args, out: TextIO, graph) -> int:
     report = cube.check_special_axioms(
         graph, samples=args.samples, radius=args.radius, seed=args.seed
     )
-    print(
-        f"radius: {report.radius} samples: {report.samples} seed: {report.seed}",
-        file=out,
-    )
     counts = " ".join(f"{k}={v}" for k, v in sorted(report.checked.items()))
-    print(f"checked: {counts}", file=out)
-    for violation in report.violations:
-        print(f"violation: {violation}", file=out)
-    print("ok" if report.ok else "FAIL", file=out)
-    return 0 if report.ok else 1
+    return _print_audit(out, report, f"checked: {counts}")
 
 
-def _cmd_cube_chains(args, out: TextIO) -> int:
-    graph = _load_graph(args.graph)
+def _cmd_cube_chains(args, out: TextIO, graph) -> int:
     report = cube.check_max_chains(
         graph, samples=args.samples, radius=args.radius, seed=args.seed
     )
-    print(
-        f"radius: {report.radius} samples: {report.samples} seed: {report.seed}",
-        file=out,
-    )
-    print(
+    return _print_audit(
+        out, report,
         f"intervals: {report.intervals_checked} nested pairs: {report.nested_pairs} "
         f"chains: {report.chains_enumerated} midpoint pairs: {report.midpoint_pairs}",
-        file=out,
     )
-    for violation in report.violations:
-        print(f"violation: {violation}", file=out)
-    print("ok" if report.ok else "FAIL", file=out)
-    return 0 if report.ok else 1
 
 
-def _cmd_gauss_bonnet(args, out: TextIO) -> int:
-    complex_ = parse_complex(_read_input("complex", args.complex))
+def _cmd_gauss_bonnet(args, out: TextIO, complex_) -> int:
     chi = euler_characteristic(complex_)
     residual = gauss_bonnet_residual(complex_)
     curvature = residual + 2 * chi
@@ -334,7 +283,9 @@ def run(argv: list[str], out: Optional[TextIO] = None, err: Optional[TextIO] = N
         (out if exc.status == 0 else err).write(exc.text)
         return exc.status
     try:
-        return args.func(args, out)
+        value = _PARSE[args.kind](_read_input(args.kind, getattr(args, args.kind)))
+        words = [Word.parse(value, getattr(args, name)) for name in args.words]
+        return args.func(args, out, value, *words)
     except RaagError as exc:
         print(f"error: {exc}", file=err)
         err.write(args.parser.format_usage())

@@ -53,6 +53,7 @@ from .errors import (
     NotInContext,
     NotNested,
     UnknownGenerator,
+    _check_at_least,
 )
 from .graphs import DefiningGraph
 from .words import (
@@ -610,6 +611,7 @@ def ball(graph: DefiningGraph, radius: int) -> list[Word]:
 
     Deterministic order: by length, then by packed letter codes.
     """
+    _check_at_least("radius", radius, 0)
     seen = {b""}
     frontier = [b""]
     for _ in range(radius):
@@ -669,6 +671,7 @@ def check_special_axioms(
     H, and crossing needs adjacent labels, so H never crosses a wall of its
     own label.  Both are kept as checks of the representation.
     """
+    _check_at_least("samples", samples, 0)
     rng = random.Random(seed)
     pool = ball(graph, radius)
     n_letters = graph.letter_count
@@ -743,6 +746,7 @@ def check_max_chains(
     coincide or cross.  Oriented toward the end, H ⊃ K exactly when H's heap
     position lies below K's.
     """
+    _check_at_least("samples", samples, 0)
     rng = random.Random(seed)
     pool = ball(graph, radius)
     report = MaxChainsReport(radius=radius, samples=samples, seed=seed)
@@ -838,6 +842,7 @@ def search_prop_noov_violation(
     check of :func:`in_a_g_plus`.
     """
     _require_cyclically_reduced(g)
+    _check_at_least("samples", samples, 0)
     graph = g.graph
     rng = random.Random(seed)
     period = len(g.codes)

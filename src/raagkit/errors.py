@@ -13,6 +13,16 @@ class UnknownMode(RaagError, ValueError):
     """A ``mode`` argument names no mode of the function it was passed to."""
 
 
+class BadParameter(RaagError, ValueError):
+    """A count, cap or radius argument is not an ``int``, or is below its least value."""
+
+
+def _check_at_least(name: str, value, least: int) -> None:
+    """Raise :class:`BadParameter` unless ``value`` is an ``int`` (not a bool) of at least ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise BadParameter(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 # -- defining graphs ---------------------------------------------------------
 
 class GraphSyntaxError(RaagError):

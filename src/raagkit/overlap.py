@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import TrivialElement, UnknownMode
+from .errors import TrivialElement, UnknownMode, _check_at_least
 from .graphs import DefiningGraph, chromatic_number
 from .words import (
     CyclicWord,
@@ -315,6 +315,8 @@ def verify_key_lemma(
     the limit ``k -> oo``.
     """
     _check_mode(mode)
+    _check_at_least("n_max", n_max, 1)
+    _check_at_least("reps_cap", reps_cap, 1)
     core = cyclically_reduce(g).core
     if core.is_identity:
         raise TrivialElement("overlap bounds concern nontrivial elements only")

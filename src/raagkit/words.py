@@ -66,7 +66,7 @@ from .errors import (
 )
 from .graphs import DefiningGraph
 
-_TOKEN_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
+_TOKEN_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(-?[0-9]+))?$")
 
 #: Most letters a parsed word may reach by expanding ``name^k`` tokens.
 MAX_WORD_LETTERS = 1 << 20

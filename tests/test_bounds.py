@@ -99,6 +99,10 @@ def test_triangle_free_floor(grotzsch):
     assert cert.coloring.num_colors == 4
     assert cert.bound == TRIANGLE_FREE_BOUND == Fraction(1, 20)
     assert verify_certificate(cert)
+    # no producer emits a bare triangle-free route, so no certificate may claim one
+    assert not verify_certificate(
+        dataclasses.replace(cert, route="triangle-free", bound=Fraction(1, 20))
+    )
 
 
 def test_m5_certificate(m5):

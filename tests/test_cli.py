@@ -284,10 +284,53 @@ def test_missing_graph_file():
     assert "error: cannot read graph file" in err
 
 
-def test_bad_word_is_usage_error(p3_file):
-    code, _, err = run(["nf", p3_file, "axq"])
-    assert code == 2
-    assert "error:" in err
+# Each graph subcommand's argparse usage, on one line when 200 columns wide.
+_USAGES = {
+    "nf": "usage: raagkit nf [-h] graph word",
+    "cyc": "usage: raagkit cyc [-h] graph word",
+    "eq": "usage: raagkit eq [-h] graph word1 word2",
+    "chromatic": "usage: raagkit chromatic [-h] [--heuristic] graph",
+    "scl-bound": "usage: raagkit scl-bound [-h] [--heuristic] [--json] graph word",
+    "verify-overlap": (
+        "usage: raagkit verify-overlap [-h] [--n-max N_MAX] [--reps-cap REPS_CAP] "
+        "[--mode {disjoint,any}] [--json] graph word"
+    ),
+    "cube interval": "usage: raagkit cube interval [-h] graph x y",
+    "cube median": "usage: raagkit cube median [-h] graph x y z",
+    "cube axioms": (
+        "usage: raagkit cube axioms [-h] [--radius RADIUS] [--samples SAMPLES] [--seed SEED] graph"
+    ),
+    "cube chains": (
+        "usage: raagkit cube chains [-h] [--radius RADIUS] [--samples SAMPLES] [--seed SEED] graph"
+    ),
+}
+
+
+def _cases(path):
+    """Argv and usage of each graph subcommand on ``path``, once per word position.
+
+    Words before the position are valid and words from it on name unknown
+    generators x, y, z in turn, so a left-to-right parse fails on the word at
+    the position, returned third (None for a command that takes no words).
+    """
+    for command, usage in _USAGES.items():
+        count = len(usage.split(" graph")[1].split())
+        for bad in range(max(count, 1)):
+            words = ["ab"] * bad + [f"a{q}" for q in "xyz"[bad:count]]
+            yield command.split() + [path, *words], usage, words[bad] if count else None
+
+
+def test_bad_word_is_usage_error(p3_file, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    cases = [case for case in _cases(p3_file) if case[2]]
+    assert len(cases) == 11  # the word positions of the eight commands that take words
+    for argv, usage, bad in cases:
+        assert run(argv) == (
+            2, "", f"error: unknown generator {bad[1]!r} in {bad!r}\n{usage}\n"
+        ), argv
+    # exponents are ASCII digits only
+    for tok in ("a^\u0663", "a^\uff13"):
+        assert run(["nf", p3_file, tok]) == (2, "", f"error: malformed token {tok!r}\n{_USAGES['nf']}\n")
 
 
 @pytest.mark.parametrize("tok", ["a^100000000000000000000", "a^" + "9" * 5000])
@@ -306,20 +349,25 @@ def test_exponent_past_the_expansion_cap_is_usage_error(p3_file):
     assert err.endswith("usage: raagkit nf [-h] graph word\n")
 
 
-def test_non_utf8_graph_file_is_usage_error(tmp_path):
+def test_non_utf8_graph_file_is_usage_error(tmp_path, monkeypatch):
+    """The graph file is read before any word is parsed, so it is the input named."""
+    monkeypatch.setenv("COLUMNS", "200")
     path = tmp_path / "latin1.graph"
     path.write_bytes(b"vertices: a \xe9\nedges:\n")
-    code, out, err = run(["nf", str(path), "a"])
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: cannot read graph file {path}: 'utf-8' codec can't decode")
-    assert err.endswith("usage: raagkit nf [-h] graph word\n")
+    for argv, usage, _ in _cases(str(path)):
+        code, out, err = run(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: cannot read graph file {path}: 'utf-8' codec can't decode")
+        assert err.endswith(f"\n{usage}\n"), argv
 
 
-def test_nul_in_path_is_usage_error():
-    code, out, err = run(["nf", "p3\0.graph", "a"])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: cannot read graph file p3\0.graph: embedded null")
-    assert err.endswith("usage: raagkit nf [-h] graph word\n")
+def test_nul_in_path_is_usage_error(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    for argv, usage, _ in _cases("p3\0.graph"):
+        code, out, err = run(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: cannot read graph file p3\0.graph: embedded null")
+        assert err.endswith(f"\n{usage}\n"), argv
 
 
 def test_unreadable_complex_files_are_usage_errors(tmp_path):
@@ -356,21 +404,6 @@ def test_reps_cap_flag(p3_file):
 def test_caps_environment_is_not_read(p3_file, monkeypatch):
     monkeypatch.setenv("RAAG_KIT_CAPS", "reps=lots")
     assert run(["nf", p3_file, "ba"]) == (0, "ab\n", "")
-
-
-# Each subcommand's argparse usage, on one line when 200 columns wide.
-_USAGES = {
-    "verify-overlap": (
-        "usage: raagkit verify-overlap [-h] [--n-max N_MAX] [--reps-cap REPS_CAP] "
-        "[--mode {disjoint,any}] [--json] graph word"
-    ),
-    "cube axioms": (
-        "usage: raagkit cube axioms [-h] [--radius RADIUS] [--samples SAMPLES] [--seed SEED] graph"
-    ),
-    "cube chains": (
-        "usage: raagkit cube chains [-h] [--radius RADIUS] [--samples SAMPLES] [--seed SEED] graph"
-    ),
-}
 
 
 @pytest.mark.parametrize(

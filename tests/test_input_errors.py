@@ -9,17 +9,22 @@ from hypothesis import strategies as st
 
 from raagkit import (
     AngledComplex,
+    BadParameter,
     CyclicWord,
     DefiningGraph,
     RaagError,
     UnknownMode,
     Word,
+    ball,
+    check_max_chains,
+    check_special_axioms,
     chromatic_number,
     max_inverse_overlap,
     parse_complex,
     parse_graph,
     projection_overlap_bound,
     scl_lower_bound,
+    search_prop_noov_violation,
     verify_key_lemma,
 )
 
@@ -150,3 +155,40 @@ def test_unknown_mode_is_a_raag_error(call):
     with pytest.raises(UnknownMode) as info:
         call()
     assert isinstance(info.value, RaagError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify_key_lemma(Word.parse(P3, "ac"), n_max=0),
+        lambda: verify_key_lemma(Word.parse(P3, "ac"), reps_cap=0),
+        lambda: verify_key_lemma(Word.parse(P3, "ac"), n_max=2.0),
+        lambda: ball(P3, -1),
+        lambda: ball(P3, 1.5),
+        lambda: check_special_axioms(P3, samples=-1),
+        lambda: check_special_axioms(P3, radius=-1),
+        lambda: check_max_chains(P3, samples=True),
+        lambda: check_max_chains(P3, radius="3"),
+        lambda: search_prop_noov_violation(Word.parse(P3, "ac"), samples=-1),
+        lambda: search_prop_noov_violation(Word.parse(P3, "ac"), radius=-1),
+    ],
+    ids=[
+        "n_max", "reps_cap", "n_max-float", "ball", "ball-float", "axioms-samples",
+        "axioms-radius", "chains-bool", "chains-str", "noov-samples", "noov-radius",
+    ],
+)
+def test_bad_parameter_is_a_raag_error(call):
+    """A count, cap or radius below its least value, or not an int, is a RaagError
+    and a ValueError, so no check passes without running."""
+    with pytest.raises(BadParameter) as info:
+        call()
+    assert isinstance(info.value, RaagError) and isinstance(info.value, ValueError)
+
+
+def test_least_parameters_are_accepted():
+    ac = Word.parse(P3, "ac")
+    assert [r.representatives_checked for r in verify_key_lemma(ac, n_max=1, reps_cap=1)] == [1]
+    assert [v.display() for v in ball(P3, 0)] == ["1"]
+    assert check_special_axioms(P3, samples=0, radius=0).ok
+    assert check_max_chains(P3, samples=0, radius=0).ok
+    assert search_prop_noov_violation(ac, radius=0, samples=0).ok

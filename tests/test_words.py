@@ -92,6 +92,9 @@ def test_parse_rejects(p3):
         ("a^^2", WordSyntaxError, "malformed token 'a^^2'"),
         ("a 2b", WordSyntaxError, "malformed token '2b'"),
         ("a b^-x", WordSyntaxError, "malformed token 'b^-x'"),
+        # exponents are ASCII digits: not Arabic-Indic, not full-width
+        ("a^\u0663", WordSyntaxError, "malformed token 'a^\u0663'"),
+        ("a^\uff13", WordSyntaxError, "malformed token 'a^\uff13'"),
         (5, WordSyntaxError, "a word is parsed from a string, not int"),
     ],
 )
