@@ -1,12 +1,11 @@
 """Command-line front end.
 
-Every subcommand reads one file, then its words in argument order: a graph
-file in the line format of :func:`raagkit.graphs.parse_graph` (for
-``gauss-bonnet`` a complex JSON file), then each word, a single quoted
-argument in the word syntax, parsed against that graph. Any input error,
-from the file, a word or the computation, exits 2 with that subcommand's
-usage. Exit codes: 0 success, 1 a verified property actually failed (a
-violated bound, axiom, or nonzero residual), 2 usage or input errors.
+Every subcommand reads one graph file in the line format of
+:func:`raagkit.graphs.parse_graph` (``gauss-bonnet`` reads a complex JSON
+file instead), then its words in argument order, single quoted arguments in
+the word syntax parsed against that graph. Any input error exits 2 with that
+subcommand's usage. Exit codes: 0 success, 1 a verified property actually
+failed (a violated bound, axiom, or nonzero residual), 2 usage or input errors.
 
 ``verify-overlap`` walks the rotation/swap closure of each power's core one
 rotation class at a time: its ``reps=`` counts and its ``--reps-cap`` count
@@ -30,7 +29,6 @@ from .words import Word, cyclically_reduce, equal, normal_form
 
 DEFAULT_SEED = 0x5C1
 
-# The parser of each kind of input file.
 _PARSE = {"graph": parse_graph, "complex": parse_complex}
 
 
@@ -59,7 +57,9 @@ def _read_input(kind: str, path: str) -> str:
 
 
 def _rat(q) -> str:
-    return "inf" if q is None else str(q)
+    if q is None:
+        return "inf"
+    return str(q)
 
 
 class _ParserExit(Exception):
@@ -86,11 +86,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_command(sub, name: str, func, help: str, *words: str, kind: str = "graph") -> _Parser:
-    """Declare a subcommand: a ``kind`` file, then the named word arguments.
+    """Declare a subcommand: a ``kind`` file, then the named words, parsed by ``run``.
 
-    ``run`` reads the file, parses the words against its graph in argument
-    order, calls ``func(args, out, graph, *words)`` and, after an input
-    error, prints this subcommand's usage.
+    ``run`` calls ``func(args, out, graph, *words)`` and, after an input error, prints its usage.
     """
     p = sub.add_parser(name, help=help)
     p.add_argument(kind, metavar="complex.json" if kind == "complex" else None)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer-parameter check.
 
 Every error raised deliberately by raagkit derives from RaagError, so callers
 can catch one base class at CLI or library boundaries.
@@ -18,7 +18,7 @@ class BadParameter(RaagError, ValueError):
 
 
 def _check_at_least(name: str, value, least: int) -> None:
-    """Raise :class:`BadParameter` unless ``value`` is an ``int`` (not a bool) of at least ``least``."""
+    """Raise :class:`BadParameter` unless ``value`` is an int, not a bool, of at least ``least``."""
     if not isinstance(value, int) or isinstance(value, bool) or value < least:
         raise BadParameter(f"{name} must be an integer of at least {least}, got {value!r}")
 

@@ -330,7 +330,8 @@ def test_bad_word_is_usage_error(p3_file, monkeypatch):
         ), argv
     # exponents are ASCII digits only
     for tok in ("a^\u0663", "a^\uff13"):
-        assert run(["nf", p3_file, tok]) == (2, "", f"error: malformed token {tok!r}\n{_USAGES['nf']}\n")
+        usage = _USAGES["nf"]
+        assert run(["nf", p3_file, tok]) == (2, "", f"error: malformed token {tok!r}\n{usage}\n")
 
 
 @pytest.mark.parametrize("tok", ["a^100000000000000000000", "a^" + "9" * 5000])
