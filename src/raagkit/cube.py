@@ -38,6 +38,16 @@ down-set of the last.  Each set is one bitmask pass; no heap is built.
 The median of ``x, y, z`` is ``x`` times the meet of
 ``reduce(x^-1 y)`` and ``reduce(x^-1 z)`` in the prefix order of traces, the
 same meet that cyclic reduction takes of ``w`` and ``w^-1``.
+
+The sampled audits build only what they read.  ``ball`` grows by prefix
+extension: a prefix of a lex-least normal form is itself one, so each
+length is the one before extended by the letters that keep it a normal
+form, already in (length, codes) order.  ``check_max_chains`` takes the
+heap positions of ``nf(x^-1 y)`` as the interval's walls: a nested pair is
+two comparable positions, its longest chains are walks of comparable
+positions (one walker, :func:`_longest_walks`, serves the audit and
+:func:`all_longest_chains`), and two midpoints cross when their positions
+are incomparable.  It builds no interval and no half-space.
 """
 
 from __future__ import annotations
@@ -54,6 +64,7 @@ from .errors import (
     NotNested,
     UnknownGenerator,
     _check_at_least,
+    _check_seed,
 )
 from .graphs import DefiningGraph
 from .words import (
@@ -271,7 +282,7 @@ def interval(x: Word, y: Word) -> Interval:
 
 
 def _comparable(down: list[int], i: int, j: int) -> bool:
-    lo, hi = sorted((i, j))
+    lo, hi = (i, j) if i < j else (j, i)
     return bool((down[hi] >> lo) & 1)
 
 
@@ -293,7 +304,7 @@ def _between(down: list[int], i: int, j: int) -> list[int]:
 
     The walls strictly between two nested ones sit there.
     """
-    lo, hi = sorted((i, j))
+    lo, hi = (i, j) if i < j else (j, i)
     return [r for r in range(lo + 1, hi) if (down[hi] >> r) & 1 and (down[r] >> lo) & 1]
 
 
@@ -363,6 +374,42 @@ def midpoint(chain: Chain) -> HalfSpace:
     return chain.halfspaces[m]
 
 
+def _longest_walks(
+    down: list[int], i: int, j: int, key=None, first: bool = False
+) -> list[tuple[int, ...]]:
+    """The longest walks of comparable heap positions from ``i`` to ``j``, as position tuples.
+
+    ``i`` and ``j`` are comparable, in either order.  The positions a walk
+    may pass sit between theirs, and two of them are consecutive on a walk
+    only when comparable.  One scan from ``j``'s end gives each position its
+    height: the most positions a walk from it down to ``j`` passes, itself
+    included.  The walk steps from ``i`` to comparable positions one height
+    lower, trying them in position order or in ``key`` order; ``first``
+    stops at the first walk.
+    """
+    mids = _between(down, i, j)
+    if not mids:  # the pair is a cover: its one walk has no interior
+        return [(i, j)]
+    height: dict[int, int] = {}
+    for r in reversed(mids) if i < j else mids:
+        height[r] = 1 + max((height[s] for s in height if _comparable(down, r, s)), default=0)
+    order = sorted(mids, key=key) if key else mids
+    walks: list[tuple[int, ...]] = []
+
+    def walk(path: tuple[int, ...], need: int) -> None:
+        if not need:
+            walks.append(path + (j,))
+            return
+        for s in order:
+            if height[s] == need and _comparable(down, path[-1], s):
+                walk(path + (s,), need - 1)
+                if walks and first:
+                    return
+
+    walk((i,), max(height.values()))
+    return walks
+
+
 def _longest_paths(
     context: Interval, outer: HalfSpace, inner: HalfSpace, all_chains: bool
 ) -> list[Chain]:
@@ -370,38 +417,22 @@ def _longest_paths(
 
     The walls strictly between the pair sit at the heap positions between
     theirs, oriented like the pair, and two of them nest exactly when their
-    positions are comparable.  One scan from the inner end gives each
-    position its height: the most walls a chain from it down to ``inner``
-    passes, itself included.  The walk steps from ``outer`` to comparable
-    positions one height lower, least half-space first.  A chain is taut when
-    no position lies strictly between two consecutive ones of its walk.
+    positions are comparable, so the chains are the :func:`_longest_walks`
+    from outer's position to inner's.  The walls of one interval are
+    distinct, so their ``wall_key`` order is the ``sort_key`` order of the
+    oriented half-spaces.  A chain is taut when no position lies strictly
+    between two consecutive ones of its walk.
     """
     i, neg = context.locate(outer)
     j, _ = context.locate(inner)
-    down = context._down
-    mids = _between(down, i, j)
-    height: dict[int, int] = {}
-    for r in mids if neg else reversed(mids):
-        height[r] = 1 + max((height[s] for s in height if _comparable(down, r, s)), default=0)
-    walls = context.halfspaces
-    oriented = {r: walls[r].complement() if neg else walls[r] for r in mids}
-    order = sorted(mids, key=lambda r: oriented[r].sort_key())
-    chains: list[Chain] = []
-
-    def walk(path: tuple[int, ...], need: int) -> None:
-        if not need:
-            path += (j,)
-            taut = all(not _between(down, p, q) for p, q in zip(path, path[1:]))
-            inside = tuple(oriented[r] for r in path[1:-1])
-            chains.append(Chain((outer, *inside, inner), taut=taut))
-            return
-        for s in order:
-            if height[s] == need and _comparable(down, path[-1], s):
-                walk(path + (s,), need - 1)
-                if chains and not all_chains:
-                    return
-
-    walk((i,), max(height.values(), default=0))
+    down, walls = context._down, context.halfspaces
+    chains = []
+    for path in _longest_walks(
+        down, i, j, key=lambda r: walls[r].wall_key(), first=not all_chains
+    ):
+        taut = all(not _between(down, p, q) for p, q in zip(path, path[1:]))
+        inside = (walls[r].complement() if neg else walls[r] for r in path[1:-1])
+        chains.append(Chain((outer, *inside, inner), taut=taut))
     return chains
 
 
@@ -606,25 +637,48 @@ def in_a_g_plus(g: Word, hs: HalfSpace) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _extensions(graph: DefiningGraph, v: bytes) -> int:
+    """Bitmask of the letters ``c`` for which ``v·c`` is a normal form, for a normal form ``v``.
+
+    This is :func:`~raagkit.words._nf_scan`'s step for one appended letter,
+    taken for every letter at once: ``c`` stays last exactly when no letter
+    it walks back past, the ones that commute with it, is greater, and the
+    first one that does not commute is not ``c^-1``.  ``scanning`` holds the
+    letters still walking back.
+    """
+    nc = graph._nc_mask
+    letters = scanning = (1 << graph.letter_count) - 1
+    bad = 0
+    for s in reversed(v):
+        bad |= scanning & (1 << (s ^ 1))  # s blocks its inverse, which cancels it
+        scanning &= ~nc[s]
+        bad |= scanning & ((1 << s) - 1)  # the letters below s would move before it
+        if not scanning:
+            break
+    return letters & ~bad
+
+
 def ball(graph: DefiningGraph, radius: int) -> list[Word]:
     """All group elements of length at most ``radius``, in normal form.
 
-    Deterministic order: by length, then by packed letter codes.
+    Deterministic order: by length, then by packed letter codes.  A prefix
+    of a lex-least normal form is itself one, so the elements of length
+    ``r + 1`` are those of length ``r`` each extended by one letter that
+    keeps it a normal form (:func:`_extensions`), and each arises once.
+    Extending each length in order, letters ascending, gives that order
+    directly: nothing is normalised, deduplicated or sorted.
     """
     _check_at_least("radius", radius, 0)
-    seen = {b""}
-    frontier = [b""]
+    level = [b""]
+    out = [b""]
     for _ in range(radius):
-        nxt = []
-        for v in frontier:
-            for c in range(graph.letter_count):
-                w = _nf_of(graph, v + bytes([c]))
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    ordered = sorted(seen, key=lambda b: (len(b), b))
-    return [Word(graph, b) for b in ordered]
+        longer = []
+        for v in level:
+            ext = _extensions(graph, v)
+            longer += [v + bytes((c,)) for c in range(graph.letter_count) if (ext >> c) & 1]
+        out += longer
+        level = longer
+    return [Word(graph, b) for b in out]
 
 
 @dataclass
@@ -672,6 +726,7 @@ def check_special_axioms(
     own label.  Both are kept as checks of the representation.
     """
     _check_at_least("samples", samples, 0)
+    _check_seed(seed)
     rng = random.Random(seed)
     pool = ball(graph, radius)
     n_letters = graph.letter_count
@@ -736,6 +791,18 @@ class MaxChainsReport:
         return {**vars(self), "violations": list(self.violations), "ok": self.ok}
 
 
+def _chain_midpoints(down: list[int], i: int, j: int) -> tuple[int, list[int]]:
+    """The number of longest chains from position ``i`` down to ``j``, and their midpoints.
+
+    The midpoints are heap positions, one per chain with an interior, in the
+    order :func:`_longest_walks` finds the chains.  A walk of ``L`` interior
+    positions has its midpoint at index ``(L + 1) // 2``, as :func:`midpoint`
+    takes it.
+    """
+    walks = _longest_walks(down, i, j)
+    return len(walks), [path[(len(path) - 1) // 2] for path in walks if len(path) > 2]
+
+
 def check_max_chains(
     graph: DefiningGraph, samples: int = 200, radius: int = 3, seed: int = 0x5C1
 ) -> MaxChainsReport:
@@ -743,10 +810,17 @@ def check_max_chains(
 
     For every nested pair H ⊃ K inside a sampled interval, all longest chains
     from H to K are enumerated; every two of their midpoints must either
-    coincide or cross.  Oriented toward the end, H ⊃ K exactly when H's heap
-    position lies below K's.
+    coincide or cross.  Everything is read off the heap of ``nf(x^-1 y)``,
+    whose positions are the interval's walls: oriented toward the end, H ⊃ K
+    exactly when H's position lies below K's, the chains are the walks of
+    comparable positions between them (:func:`_longest_walks`), and two
+    midpoints cross exactly when their positions are incomparable.  No
+    interval or half-space is built; only a violation message canonicalises
+    its two midpoints.  Within one nested pair, chains come in position
+    order.
     """
     _check_at_least("samples", samples, 0)
+    _check_seed(seed)
     rng = random.Random(seed)
     pool = ball(graph, radius)
     report = MaxChainsReport(radius=radius, samples=samples, seed=seed)
@@ -755,25 +829,25 @@ def check_max_chains(
         y = rng.choice(pool)
         if x.codes == y.codes:
             continue
-        ctx = interval(x, y)
+        word = _nf_of(graph, _inv_codes(x.codes) + y.codes)
+        down = _heap_down(graph, word)
         report.intervals_checked += 1
-        walls, down = ctx.halfspaces, ctx._down
-        for i in range(len(walls)):
-            for j in range(i + 1, len(walls)):
-                if not _comparable(down, i, j):
+        for i in range(len(word)):
+            for j in range(i + 1, len(word)):
+                if not (down[j] >> i) & 1:
                     continue
                 report.nested_pairs += 1
-                chains = all_longest_chains(walls[i], walls[j], ctx)
-                report.chains_enumerated += len(chains)
-                mids = [midpoint(c) for c in chains if c.length >= 1]
-                for a in range(len(mids)):
-                    for b in range(a + 1, len(mids)):
+                count, mids = _chain_midpoints(down, i, j)
+                report.chains_enumerated += count
+                for a, p in enumerate(mids):
+                    for q in mids[a + 1 :]:
                         report.midpoint_pairs += 1
-                        if mids[a] == mids[b] or crosses(mids[a], mids[b], ctx):
+                        if p == q or not _comparable(down, p, q):
                             continue
+                        h, k = (_halfspace_at(graph, x.codes + word[:r], word[r]) for r in (p, q))
                         report.violations.append(
                             f"midpoints neither equal nor crossing: "
-                            f"{mids[a].display()} vs {mids[b].display()} "
+                            f"{h.display()} vs {k.display()} "
                             f"in [{x.display()}, {y.display()}]"
                         )
     return report
@@ -843,6 +917,7 @@ def search_prop_noov_violation(
     """
     _require_cyclically_reduced(g)
     _check_at_least("samples", samples, 0)
+    _check_seed(seed)
     graph = g.graph
     rng = random.Random(seed)
     period = len(g.codes)

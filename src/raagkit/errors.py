@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer-parameter check.
+"""Exception types shared across the package, and the integer-parameter checks.
 
 Every error raised deliberately by raagkit derives from RaagError, so callers
 can catch one base class at CLI or library boundaries.
@@ -14,13 +14,22 @@ class UnknownMode(RaagError, ValueError):
 
 
 class BadParameter(RaagError, ValueError):
-    """A count, cap or radius argument is not an ``int``, or is below its least value."""
+    """A count, cap, radius or seed argument is not an ``int``, or is below its least value."""
 
 
 def _check_at_least(name: str, value, least: int) -> None:
     """Raise :class:`BadParameter` unless ``value`` is an int, not a bool, of at least ``least``."""
     if not isinstance(value, int) or isinstance(value, bool) or value < least:
         raise BadParameter(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def _check_seed(seed) -> None:
+    """Raise :class:`BadParameter` unless ``seed`` is an int, not a bool.
+
+    A report echoes its seed, so an int seed lets the run be repeated from its output.
+    """
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise BadParameter(f"seed must be an integer, got {seed!r}")
 
 
 # -- defining graphs ---------------------------------------------------------

@@ -1383,3 +1383,53 @@ def noov_search_by_act(g, radius: int = 3, samples: int = 200, seed: int = 0x5C1
                     "backwards inside the attracting family"
                 )
     return report
+
+
+def check_max_chains_by_intervals(graph, samples: int = 200, radius: int = 3, seed: int = 0x5C1):
+    """``check_max_chains`` before it read heap positions, kept verbatim as an oracle.
+
+    It builds one interval per sample, with a canonical half-space per
+    position, enumerates each nested pair's chains through the public
+    ``all_longest_chains`` and compares their ``midpoint`` half-spaces with
+    ``crosses``.  It reuses the package's ball and interval.
+    """
+    from raagkit.cube import (
+        MaxChainsReport,
+        _comparable,
+        all_longest_chains,
+        ball,
+        crosses,
+        interval,
+        midpoint,
+    )
+
+    rng = random.Random(seed)
+    pool = ball(graph, radius)
+    report = MaxChainsReport(radius=radius, samples=samples, seed=seed)
+    for _ in range(samples):
+        x = rng.choice(pool)
+        y = rng.choice(pool)
+        if x.codes == y.codes:
+            continue
+        ctx = interval(x, y)
+        report.intervals_checked += 1
+        walls, down = ctx.halfspaces, ctx._down
+        for i in range(len(walls)):
+            for j in range(i + 1, len(walls)):
+                if not _comparable(down, i, j):
+                    continue
+                report.nested_pairs += 1
+                chains = all_longest_chains(walls[i], walls[j], ctx)
+                report.chains_enumerated += len(chains)
+                mids = [midpoint(c) for c in chains if c.length >= 1]
+                for a in range(len(mids)):
+                    for b in range(a + 1, len(mids)):
+                        report.midpoint_pairs += 1
+                        if mids[a] == mids[b] or crosses(mids[a], mids[b], ctx):
+                            continue
+                        report.violations.append(
+                            f"midpoints neither equal nor crossing: "
+                            f"{mids[a].display()} vs {mids[b].display()} "
+                            f"in [{x.display()}, {y.display()}]"
+                        )
+    return report

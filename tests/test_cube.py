@@ -13,6 +13,9 @@ formulation in ``helpers.py``, longest chains against an enumeration of
 nested runs, and the no-overlap search against one interval per element.
 The axiom and no-overlap searches, which keep walls at raw coset bases, are
 checked against their canonical forms, which translate through ``act``.
+The longest-chain audit, which reads heap positions, is checked against
+its form that built an interval per sample, and ``ball`` against
+breadth-first distances keyed by elementary-moves canonicals.
 ``in_a_g_plus`` is checked against its definition with a large explicit
 power and against the power-window probes it replaced.  Distances fall out
 of normal forms, which test_words.py pins to the elementary-moves oracle.
@@ -754,6 +757,33 @@ def test_ball_contains_no_duplicates(c4):
     assert len({normal_form(v).codes for v in verts}) == len(verts)
 
 
+def test_ball_matches_cayley_ball():
+    """``ball`` against breadth-first distances keyed by oracle canonicals.
+
+    ``helpers.cayley_ball`` spells every element of the ball by elementary
+    moves alone.  The same elements come out, each once, at the same
+    distances, and in (length, codes) order.
+    """
+    seen = Counter()
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=H.random_graph_data(), radius=st.integers(0, 3))
+    def check(data, radius):
+        names, edges = data
+        got = ball(DefiningGraph(names, edges), radius)
+        keys = [(len(v.codes), v.codes) for v in got]
+        assert keys == sorted(set(keys))
+        canon = {H.oracle_canonical(names, edges, v.letters()): len(v.codes) for v in got}
+        assert len(canon) == len(got)
+        dist = H.cayley_ball(names, edges, radius)
+        assert canon == dist
+        assert Counter(map(len, got)) == Counter(dist.values())
+        seen.update(elements=len(got))
+
+    check()
+    assert seen["elements"] >= 1000, seen
+
+
 def test_check_special_axioms_small(p3):
     report = check_special_axioms(p3, samples=60, radius=2, seed=1)
     assert report.ok
@@ -926,6 +956,114 @@ def test_check_max_chains_small(p3):
     assert d["violations"] == []
     assert d["samples"] == 25
     assert 0 < d["intervals_checked"] <= 25  # coincident endpoints are skipped
+
+
+def test_check_max_chains_matches_interval_oracle(suite_graphs):
+    """The audit on heap positions against the form that built an interval per sample.
+
+    ``helpers.check_max_chains_by_intervals`` enumerates each nested pair's
+    chains through ``all_longest_chains`` and compares their ``midpoint``
+    half-spaces with ``crosses``; the JSON reports must be equal.
+    """
+    seen = Counter()
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        graph=H.random_graphs() | st.sampled_from(list(suite_graphs.values())),
+        radius=st.integers(0, 3),
+        samples=st.integers(0, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(graph=suite_graphs["c5"], radius=3, samples=60, seed=2)  # 10 midpoint pairs
+    @example(graph=suite_graphs["k3_pendant"], radius=3, samples=60, seed=2)  # 17
+    def check(graph, radius, samples, seed):
+        got = check_max_chains(graph, samples=samples, radius=radius, seed=seed).to_json_dict()
+        assert got == H.check_max_chains_by_intervals(graph, samples, radius, seed).to_json_dict()
+        seen.update(pairs=got["nested_pairs"], midpoint_pairs=got["midpoint_pairs"])
+
+    check()
+    assert seen["pairs"] >= 2000 and seen["midpoint_pairs"] >= 27, seen
+
+
+def test_chain_midpoints_are_midpoint(suite_graphs):
+    """The audit's midpoint positions are those ``midpoint`` takes of ``all_longest_chains``.
+
+    Every nested pair a run of :func:`check_max_chains` reads is rebuilt as
+    an interval from the identity to ``nf(x^-1 y)``, which has the same heap.
+    An odd number of interior walls tells index ``(L + 1) // 2`` from
+    ``L // 2``.  A planted pair of nested midpoints is reported with the
+    interval's canonical walls, as the interval oracle reports it.
+    """
+    from raagkit.cube import Chain
+
+    heap_down, chain_midpoints = cube._heap_down, cube._chain_midpoints
+    read = []
+
+    def recording(graph, word):
+        read.append((graph, word))
+        return heap_down(graph, word)
+
+    def midpoints(down, i, j):
+        result = chain_midpoints(down, i, j)
+        read.append((i, j, result))
+        return result
+
+    with mock.patch.multiple(cube, _heap_down=recording, _chain_midpoints=midpoints):
+        for graph in suite_graphs.values():
+            assert check_max_chains(graph, samples=150, radius=3, seed=5).ok
+    seen = Counter()
+    for entry in read:
+        if len(entry) == 2:
+            graph, word = entry
+            ctx = interval(Word(graph, b""), Word(graph, word))
+            continue
+        i, j, (count, mids) = entry
+        chains = all_longest_chains(ctx.halfspaces[i], ctx.halfspaces[j], ctx)
+        assert count == len(chains)
+        want = [ctx.locate(midpoint(c))[0] for c in chains if c.length >= 1]
+        assert sorted(mids) == sorted(want)
+        seen.update(odd=sum(c.length % 2 for c in chains), several=len(set(mids)) > 1)
+    assert seen["odd"] >= 2000 and seen["several"] >= 37, seen  # 2,479 and 42
+
+    def planted(h, k, ctx):
+        return [Chain((h, h, k)), Chain((h, k, k))]
+
+    with mock.patch.object(cube, "_chain_midpoints", lambda down, i, j: (2, [i, j])):
+        got = check_max_chains(suite_graphs["p3"], samples=20, radius=2, seed=2).to_json_dict()
+    with mock.patch.object(cube, "all_longest_chains", planted):
+        want = H.check_max_chains_by_intervals(suite_graphs["p3"], 20, 2, 2).to_json_dict()
+    assert got == want
+    assert len(got["violations"]) == got["nested_pairs"] > 0
+
+
+def test_audits_build_only_what_they_read(suite_graphs, grotzsch):
+    """``ball`` normalises nothing, and a clean ``check_max_chains`` builds no interval.
+
+    ``ball`` extends normal forms by letters that keep them normal forms, so
+    it makes no ``_nf_of`` or ``_nf_scan`` call.  ``check_max_chains`` reads
+    one heap per sample and builds no ``Interval``; with no violation it
+    canonicalises no half-space.
+    """
+    calls = Counter()
+
+    def counting(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        return wrapper
+
+    with H.count_kernel_work() as (work, _), mock.patch.object(cube, "_nf_of", counting(cube._nf_of)):
+        for graph in (*suite_graphs.values(), grotzsch):
+            assert len(ball(graph, 3)) > 1
+    assert not calls and not work, (calls, work)
+    with mock.patch.multiple(
+        cube, _canon_base=counting(cube._canon_base), Interval=counting(cube.Interval)
+    ):
+        for graph in suite_graphs.values():
+            report = check_max_chains(graph, samples=60, radius=3, seed=7)
+            assert report.ok and report.nested_pairs > 0
+    assert not calls, calls
 
 
 # -- translated segments ----------------------------------------------------

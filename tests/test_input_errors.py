@@ -171,15 +171,24 @@ def test_unknown_mode_is_a_raag_error(call):
         lambda: check_max_chains(P3, radius="3"),
         lambda: search_prop_noov_violation(Word.parse(P3, "ac"), samples=-1),
         lambda: search_prop_noov_violation(Word.parse(P3, "ac"), radius=-1),
+        # a seed has no least value, but the report echoes it: it must repeat the run
+        lambda: check_special_axioms(P3, seed=[1]),
+        lambda: check_special_axioms(P3, seed=True),
+        lambda: check_max_chains(P3, seed={}),
+        lambda: check_max_chains(P3, seed=None),
+        lambda: search_prop_noov_violation(Word.parse(P3, "ac"), seed=1.5),
     ],
     ids=[
         "n_max", "reps_cap", "n_max-float", "ball", "ball-float", "axioms-samples",
         "axioms-radius", "chains-bool", "chains-str", "noov-samples", "noov-radius",
+        "axioms-seed-list", "axioms-seed-bool", "chains-seed-dict", "chains-seed-none",
+        "noov-seed-float",
     ],
 )
 def test_bad_parameter_is_a_raag_error(call):
-    """A count, cap or radius below its least value, or not an int, is a RaagError
-    and a ValueError, so no check passes without running."""
+    """A count, cap or radius below its least value, or a count, cap, radius or
+    seed that is not an int, is a RaagError and a ValueError, so no check passes
+    without running."""
     with pytest.raises(BadParameter) as info:
         call()
     assert isinstance(info.value, RaagError) and isinstance(info.value, ValueError)
@@ -191,4 +200,5 @@ def test_least_parameters_are_accepted():
     assert [v.display() for v in ball(P3, 0)] == ["1"]
     assert check_special_axioms(P3, samples=0, radius=0).ok
     assert check_max_chains(P3, samples=0, radius=0).ok
+    assert check_max_chains(P3, samples=3, radius=1, seed=-1).seed == -1  # any int seeds
     assert search_prop_noov_violation(ac, radius=0, samples=0).ok
