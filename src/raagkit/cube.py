@@ -30,11 +30,18 @@ end of h's edge on the far side of h from ``b_k`` and ends at the end of
 k's edge on the far side of k from that start.  h's wall is then the first
 letter of its generator and k's the last of its own, and the stretch
 between them is all that is read: it has one position exactly when the two
-are one wall, the walls nest when the last position lies in the up-set of
-the first, and tightly when no position lies in that up-set and in the
-down-set of the last.  Each set is one bitmask pass; no heap is built.
-``in_a_g_plus`` reads the same nesting: g's axis enters H exactly when
-``H ⊋ g·H`` (g skewers H), one reduction of ``b^-1 g b`` for the base ``b``.
+are one wall, and the walls nest when they are oriented alike and the last
+position lies above the first.  Labels and orientation flags settle most
+pairs before any pass.  Two positions whose letters do not commute, as any
+two of one generator, are comparable at once, so walls of one label nest
+or not by their flags alone; only commuting labels need the one bitmask
+pass over the up-set of the first position.  Tight walls sit at a covering
+pair of positions, whose letters do not commute, so walls with adjacent
+labels are never tight and are answered with no reduction; otherwise the
+walls nest tightly when no position lies in that up-set and in the
+down-set of the last, one more pass.  No heap is built.  ``in_a_g_plus``
+reads the same nesting: g's axis enters H exactly when ``H ⊋ g·H`` (g
+skewers H), one reduction of ``b^-1 g b`` for the base ``b`` and no pass.
 The median of ``x, y, z`` is ``x`` times the meet of
 ``reduce(x^-1 y)`` and ``reduce(x^-1 z)`` in the prefix order of traces, the
 same meet that cyclic reduction takes of ``w`` and ``w^-1``.
@@ -42,7 +49,10 @@ same meet that cyclic reduction takes of ``w`` and ``w^-1``.
 The sampled audits build only what they read.  ``ball`` grows by prefix
 extension: a prefix of a lex-least normal form is itself one, so each
 length is the one before extended by the letters that keep it a normal
-form, already in (length, codes) order.  ``check_max_chains`` takes the
+form, already in (length, codes) order.  Each length is counted before it
+is built, and a ball past :data:`BALL_LIMIT` elements is refused.  The
+audits draw from the ball's codes and build a ``Word`` only for a
+violation message.  ``check_max_chains`` takes the
 heap positions of ``nf(x^-1 y)`` as the interval's walls: a nested pair is
 two comparable positions, its longest chains are walks of comparable
 positions (one walker, :func:`_longest_walks`, serves the audit and
@@ -57,6 +67,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (
+    BadParameter,
     ChainTooShort,
     EmptyWord,
     NotCyclicallyReduced,
@@ -70,7 +81,7 @@ from .graphs import DefiningGraph
 from .words import (
     Letter,
     Word,
-    _first_letters,
+    _can_lead,
     _inv_codes,
     _meet,
     _nf_of,
@@ -188,8 +199,7 @@ def halfspace_of_edge(x: Word, letter: Letter | tuple[str, int] | str) -> HalfSp
 
 def _member_codes(graph: DefiningGraph, x: bytes, hs: HalfSpace) -> bool:
     to_base = _reduce_codes(graph, _inv_codes(x) + hs.base_codes)
-    ends = _first_letters(graph, to_base[::-1])
-    return bool((ends >> (2 * hs.label_index + 1)) & 1) == (hs.sign > 0)
+    return _can_lead(graph, reversed(to_base), 2 * hs.label_index + 1) == (hs.sign > 0)
 
 
 def member(x: Word, hs: HalfSpace) -> bool:
@@ -498,10 +508,10 @@ def _stretch(graph: DefiningGraph, h: tuple, k: tuple) -> tuple[bytes, bool, boo
     """
     (b_h, a, s_h), (b_k, c, s_k) = h, k
     w = _reduce_codes(graph, _inv_codes(b_h) + b_k)  # u
-    x_head = not (_first_letters(graph, w) >> 2 * a) & 1
+    x_head = not _can_lead(graph, w, 2 * a)
     if x_head:
         w = bytes([2 * a + 1]) + w  # x^-1 b_k: reduced, since u cannot start with a
-    y_head = not (_first_letters(graph, w[::-1]) >> 2 * c + 1) & 1
+    y_head = not _can_lead(graph, reversed(w), 2 * c + 1)
     if y_head:
         w += bytes([2 * c])  # x^-1 y: reduced, since x^-1 b_k cannot end in c^-1
     lo, hi = w.index(2 * a + x_head), w.rindex(2 * c + (not y_head))
@@ -524,12 +534,18 @@ def _reach(graph: DefiningGraph, word: bytes, positions: range) -> int:
     return reached
 
 
+def _above(graph: DefiningGraph, stretch: bytes) -> bool:
+    """Whether the last position of a nonempty ``stretch`` lies above its first."""
+    last = len(stretch) - 1
+    return bool((_reach(graph, stretch, range(last + 1)) >> last) & 1)
+
+
 def _walls_cross(graph: DefiningGraph, h: tuple, k: tuple) -> bool:
     """:func:`hyperplanes_cross` for two walls as :func:`_stretch` takes them."""
     if not (graph._lk_mask[h[1]] >> k[1]) & 1:
         return False
     stretch, _, _ = _stretch(graph, h, k)
-    return not stretch or not (_reach(graph, stretch, range(len(stretch))) >> len(stretch) - 1) & 1
+    return not stretch or not _above(graph, stretch)
 
 
 def hyperplanes_cross(h: HalfSpace, k: HalfSpace) -> bool:
@@ -542,30 +558,49 @@ def hyperplanes_cross(h: HalfSpace, k: HalfSpace) -> bool:
     return _walls_cross(_require_same_graph(h, k), h.sort_key(), k.sort_key())
 
 
-def _nesting_in(
+def _direction_in(
     graph: DefiningGraph, stretch: bytes, neg_h: bool, neg_k: bool
-) -> tuple[Optional[int], bool]:
-    """The nesting direction and tightness of the walls at the ends of a :func:`_stretch`.
+) -> Optional[int]:
+    """The nesting direction of the walls at the ends of a :func:`_stretch`.
 
     The walls nest when they are oriented alike and the last position lies
-    above the first (a one-position stretch is one wall); the walls between
-    them sit at the positions above the first and below the last.  Each set
-    is one pass, so no heap is built.
+    above the first (a one-position stretch is one wall).  Two positions
+    whose letters do not commute, as any two of one generator, are
+    comparable at once; only commuting letters need the pass of
+    :func:`_reach`.  Oriented toward the end, the half-space of the lower
+    position contains the other's.
     """
-    if neg_h != neg_k or not stretch:
-        return None, False
+    if neg_h != neg_k or len(stretch) < 2:
+        return None
+    if not (graph._nc_mask[stretch[0]] >> stretch[-1]) & 1 and not _above(graph, stretch):
+        return None
+    return -1 if neg_h else 1
+
+
+def _tight_in(graph: DefiningGraph, stretch: bytes, neg_h: bool, neg_k: bool) -> bool:
+    """Whether the walls at the ends of a :func:`_stretch` nest tightly.
+
+    They nest as :func:`_direction_in` reads it, and no position lies above
+    the first and below the last: the up-set of the first and the down-set
+    of the last are one pass each, with no heap built.
+    """
+    if neg_h != neg_k or len(stretch) < 2:
+        return False
     last = len(stretch) - 1
     up = _reach(graph, stretch, range(last + 1))
-    if not (up >> last) & 1:
-        return None, False
-    down = _reach(graph, stretch, range(last, -1, -1))
-    # oriented toward the end, the half-space of the lower position contains the other's
-    return (-1 if neg_h else 1), not up & down
+    return bool((up >> last) & 1) and not up & _reach(graph, stretch, range(last, -1, -1))
 
 
-def _global_nesting(graph: DefiningGraph, h: tuple, k: tuple) -> tuple[Optional[int], bool]:
-    """Nesting direction and tightness of two walls as :func:`_stretch` takes them."""
-    return _nesting_in(graph, *_stretch(graph, h, k))
+def _walls_tight(graph: DefiningGraph, h: tuple, k: tuple) -> bool:
+    """:func:`tightly_nested_globally` for two walls as :func:`_stretch` takes them.
+
+    Tight walls sit at a covering pair of heap positions, whose letters do
+    not commute, so walls with adjacent labels are never tight: they are
+    answered from the labels, with no stretch.
+    """
+    if (graph._lk_mask[h[1]] >> k[1]) & 1:
+        return False
+    return _tight_in(graph, *_stretch(graph, h, k))
 
 
 def nested_globally(h: HalfSpace, k: HalfSpace) -> Optional[int]:
@@ -574,7 +609,8 @@ def nested_globally(h: HalfSpace, k: HalfSpace) -> Optional[int]:
     Read as :func:`nested` reads it, from the two walls' positions in the
     heap of an interval that both separate and from their orientations.
     """
-    return _global_nesting(_require_same_graph(h, k), h.sort_key(), k.sort_key())[0]
+    graph = _require_same_graph(h, k)
+    return _direction_in(graph, *_stretch(graph, h.sort_key(), k.sort_key()))
 
 
 def tightly_nested_globally(h: HalfSpace, k: HalfSpace) -> bool:
@@ -584,7 +620,7 @@ def tightly_nested_globally(h: HalfSpace, k: HalfSpace) -> bool:
     as in :func:`tightly_nested`, tight means that no heap position lies
     above one wall's and below the other's.
     """
-    return _global_nesting(_require_same_graph(h, k), h.sort_key(), k.sort_key())[1]
+    return _walls_tight(_require_same_graph(h, k), h.sort_key(), k.sort_key())
 
 
 # ---------------------------------------------------------------------------
@@ -600,9 +636,15 @@ def _require_cyclically_reduced(g: Word) -> None:
 
 
 def _attracts(graph: DefiningGraph, g_codes: bytes, wall: tuple) -> bool:
-    """:func:`in_a_g_plus` for cyclically reduced ``g`` and a wall as :func:`_stretch` takes it."""
+    """:func:`in_a_g_plus` for cyclically reduced ``g`` and a wall as :func:`_stretch` takes it.
+
+    H and g·H have one label, so their positions are comparable whenever
+    they are two: ``H ⊋ g·H`` when the stretch has two or more positions
+    and both are oriented toward its end.
+    """
     base, a, sign = wall
-    return _global_nesting(graph, wall, (g_codes + base, a, sign))[0] == 1
+    stretch, neg_h, neg_g = _stretch(graph, wall, (g_codes + base, a, sign))
+    return len(stretch) > 1 and not neg_h and not neg_g
 
 
 def in_a_g_plus(g: Word, hs: HalfSpace) -> bool:
@@ -658,6 +700,36 @@ def _extensions(graph: DefiningGraph, v: bytes) -> int:
     return letters & ~bad
 
 
+# The most elements a ball may have.  On a 2-vCPU host, c5 at radius 6
+# (131,441 elements) takes 0.09 s and 24 MB as codes, 0.33 s and 37 MB as
+# Words.  The largest ball the tests and the benchmark read, the free group
+# of rank 5 at radius 4, has 8,201; c5 at radius 7 has 819,971.
+BALL_LIMIT = 200_000
+
+
+def _ball_codes(graph: DefiningGraph, radius: int) -> list[bytes]:
+    """The codes of :func:`ball`, in its order.
+
+    Each length is counted, from the popcounts of its extensions, before it
+    is built: a radius whose ball would pass :data:`BALL_LIMIT` elements
+    raises :class:`~raagkit.errors.BadParameter` instead.
+    """
+    _check_at_least("radius", radius, 0)
+    letters = range(graph.letter_count)
+    level, out = [b""], [b""]
+    for _ in range(radius):
+        if not level:
+            break
+        exts = [_extensions(graph, v) for v in level]
+        if len(out) + sum(ext.bit_count() for ext in exts) > BALL_LIMIT:
+            raise BadParameter(
+                f"the ball of radius {radius} has more than {BALL_LIMIT} elements"
+            )
+        level = [v + bytes((c,)) for v, ext in zip(level, exts) for c in letters if (ext >> c) & 1]
+        out += level
+    return out
+
+
 def ball(graph: DefiningGraph, radius: int) -> list[Word]:
     """All group elements of length at most ``radius``, in normal form.
 
@@ -666,19 +738,10 @@ def ball(graph: DefiningGraph, radius: int) -> list[Word]:
     ``r + 1`` are those of length ``r`` each extended by one letter that
     keeps it a normal form (:func:`_extensions`), and each arises once.
     Extending each length in order, letters ascending, gives that order
-    directly: nothing is normalised, deduplicated or sorted.
+    directly: nothing is normalised, deduplicated or sorted.  A ball of
+    more than :data:`BALL_LIMIT` elements is refused before it is built.
     """
-    _check_at_least("radius", radius, 0)
-    level = [b""]
-    out = [b""]
-    for _ in range(radius):
-        longer = []
-        for v in level:
-            ext = _extensions(graph, v)
-            longer += [v + bytes((c,)) for c in range(graph.letter_count) if (ext >> c) & 1]
-        out += longer
-        level = longer
-    return [Word(graph, b) for b in out]
+    return [Word(graph, b) for b in _ball_codes(graph, radius)]
 
 
 @dataclass
@@ -716,19 +779,26 @@ def check_special_axioms(
     (s3) H and f(H̄) are never tightly nested, and
     (s4) when H, K are tightly nested, H never crosses f(K).
     Any hit is recorded as a violation (it would witness an implementation
-    bug, not new mathematics).  Walls stay at the raw bases they are drawn
-    at, and translates are raw too: f(H̄) is ``(f·b, a, -s)`` for H at
-    ``(b, a, s)``; only a violation message canonicalises H and K.  s1 and
-    s3 read one :func:`_stretch` of H and f(H̄): they are one wall exactly
-    when it has one position, and f(H̄) = H when the two are also oriented
-    alike.  s1 and s2 hold by construction: f(H̄) has the sign opposite to
-    H, and crossing needs adjacent labels, so H never crosses a wall of its
-    own label.  Both are kept as checks of the representation.
+    bug, not new mathematics).  The pool holds the ball's codes, and a
+    ``Word`` is built only for a violation message.  Walls stay at the raw
+    bases they are drawn at, and translates are raw too: f(H̄) is
+    ``(f·b, a, -s)`` for H at ``(b, a, s)``; only a violation message
+    canonicalises H and K.  s1 and s3 read one :func:`_stretch` of H and
+    f(H̄): they are one wall exactly when it has one position, and f(H̄) = H
+    when the two are also oriented alike.  Walls of one label nest or not by
+    their orientation flags alone, as two positions of one generator are
+    comparable; only tightness needs the bitmask passes.  s1, s2 and s4 hold by
+    construction: f(H̄) has the sign opposite to H; crossing needs adjacent
+    labels, so H never crosses a wall of its own label; and tight nesting
+    needs labels that do not commute, so H and K are never eligible for s4
+    when their labels are adjacent, and then H does not cross f(K), whose
+    label is K's.  These three are kept as checks of the representation;
+    only s3 is sampled evidence.
     """
     _check_at_least("samples", samples, 0)
     _check_seed(seed)
     rng = random.Random(seed)
-    pool = ball(graph, radius)
+    pool = _ball_codes(graph, radius)
     n_letters = graph.letter_count
     report = SpecialAxiomsReport(radius=radius, samples=samples, seed=seed)
     counts = {"s1": 0, "s2": 0, "s3": 0, "s4": 0, "s4_eligible": 0}
@@ -736,36 +806,35 @@ def check_special_axioms(
         report.checked = counts
         return report
 
-    def show(edge: tuple[bytes, int]) -> str:
-        return _halfspace_at(graph, *edge).display()
+    def violation(axiom: str, f: bytes, *edges: tuple[bytes, int]) -> None:
+        walls = "".join(f" {n}={_halfspace_at(graph, *e).display()}" for n, e in zip("HK", edges))
+        report.violations.append(f"{axiom}: f={Word(graph, f).display()}{walls}")
 
     for _ in range(samples):
-        h_edge = rng.choice(pool).codes, rng.randrange(n_letters)
-        k_edge = rng.choice(pool).codes, rng.randrange(n_letters)
+        h_edge = rng.choice(pool), rng.randrange(n_letters)
+        k_edge = rng.choice(pool), rng.randrange(n_letters)
         f = rng.choice(pool)
         h = b, a, s = _wall_at(*h_edge)
         k = b_k, c, s_k = _wall_at(*k_edge)
 
-        stretch, neg_h, neg_f = _stretch(graph, h, (f.codes + b, a, -s))
+        stretch, neg_h, neg_f = _stretch(graph, h, (f + b, a, -s))
         counts["s1"] += 1
         if len(stretch) == 1 and neg_h == neg_f:
-            report.violations.append(f"s1: f={f.display()} H={show(h_edge)}")
+            violation("s1", f, h_edge)
 
         counts["s2"] += 1
-        if _walls_cross(graph, h, (f.codes + b, a, s)):
-            report.violations.append(f"s2: f={f.display()} H={show(h_edge)}")
+        if _walls_cross(graph, h, (f + b, a, s)):
+            violation("s2", f, h_edge)
 
         counts["s3"] += 1
-        if _nesting_in(graph, stretch, neg_h, neg_f)[1]:
-            report.violations.append(f"s3: f={f.display()} H={show(h_edge)}")
+        if _tight_in(graph, stretch, neg_h, neg_f):
+            violation("s3", f, h_edge)
 
         counts["s4"] += 1
-        if _global_nesting(graph, h, k)[1]:
+        if _walls_tight(graph, h, k):
             counts["s4_eligible"] += 1
-            if _walls_cross(graph, h, (f.codes + b_k, c, s_k)):
-                report.violations.append(
-                    f"s4: f={f.display()} H={show(h_edge)} K={show(k_edge)}"
-                )
+            if _walls_cross(graph, h, (f + b_k, c, s_k)):
+                violation("s4", f, h_edge, k_edge)
     report.checked = counts
     return report
 
@@ -822,14 +891,14 @@ def check_max_chains(
     _check_at_least("samples", samples, 0)
     _check_seed(seed)
     rng = random.Random(seed)
-    pool = ball(graph, radius)
+    pool = _ball_codes(graph, radius)
     report = MaxChainsReport(radius=radius, samples=samples, seed=seed)
     for _ in range(samples):
         x = rng.choice(pool)
         y = rng.choice(pool)
-        if x.codes == y.codes:
+        if x == y:
             continue
-        word = _nf_of(graph, _inv_codes(x.codes) + y.codes)
+        word = _nf_of(graph, _inv_codes(x) + y)
         down = _heap_down(graph, word)
         report.intervals_checked += 1
         for i in range(len(word)):
@@ -844,11 +913,11 @@ def check_max_chains(
                         report.midpoint_pairs += 1
                         if p == q or not _comparable(down, p, q):
                             continue
-                        h, k = (_halfspace_at(graph, x.codes + word[:r], word[r]) for r in (p, q))
+                        h, k = (_halfspace_at(graph, x + word[:r], word[r]) for r in (p, q))
                         report.violations.append(
                             f"midpoints neither equal nor crossing: "
                             f"{h.display()} vs {k.display()} "
-                            f"in [{x.display()}, {y.display()}]"
+                            f"in [{Word(graph, x).display()}, {Word(graph, y).display()}]"
                         )
     return report
 
@@ -930,7 +999,7 @@ def search_prop_noov_violation(
     ]
     if len(pairs) > samples:
         pairs = sorted(rng.sample(pairs, samples))
-    pool = ball(graph, radius)
+    pool = _ball_codes(graph, radius)
     report = NoOverlapSearchReport(g=g, radius=radius, samples=samples, seed=seed)
     report.elements_checked = len(pool)
     for i, j in pairs:
@@ -944,9 +1013,9 @@ def search_prop_noov_violation(
         report.pairs_checked += 1
         for f in pool:
             report.triples_checked += 1
-            if all(_attracts(graph, g.codes, (f.codes + b, a, -s)) for b, a, s in walls):
+            if all(_attracts(graph, g.codes, (f + b, a, -s)) for b, a, s in walls):
                 report.violations.append(
-                    f"f={f.display()} carries [{x.display()}, {y.display()}] "
+                    f"f={Word(graph, f).display()} carries [{x.display()}, {y.display()}] "
                     "backwards inside the attracting family"
                 )
     return report

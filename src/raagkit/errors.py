@@ -14,7 +14,10 @@ class UnknownMode(RaagError, ValueError):
 
 
 class BadParameter(RaagError, ValueError):
-    """A count, cap, radius or seed argument is not an ``int``, or is below its least value."""
+    """A count, cap, radius or seed argument is not an ``int``, or is below its least value.
+
+    A radius whose ball would pass ``cube.BALL_LIMIT`` elements is refused too.
+    """
 
 
 def _check_at_least(name: str, value, least: int) -> None:

@@ -248,6 +248,23 @@ def _first_letters(graph: DefiningGraph, codes: bytes) -> int:
     return first
 
 
+def _can_lead(graph: DefiningGraph, codes: Iterable[int], code: int) -> bool:
+    """Whether the word can be shuffled to start with the letter ``code``.
+
+    This is bit ``code`` of :func:`_first_letters`, read by a scan that stops
+    at the first occurrence of ``code`` or at the first letter before it
+    that does not commute with it.  ``reversed(codes)`` asks whether the word
+    can end with the letter.
+    """
+    blockers = graph._nc_mask[code]
+    for c in codes:
+        if c == code:
+            return True
+        if (blockers >> c) & 1:
+            return False
+    return False
+
+
 def _meet(graph: DefiningGraph, u: bytes, v: bytes) -> bytes:
     """The greatest common prefix of two reduced words, in the prefix order of traces.
 

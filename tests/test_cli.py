@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import helpers as H
-from raagkit import cli
+from raagkit import cli, cube
 from raagkit.words import MAX_WORD_LETTERS
 
 
@@ -434,6 +434,19 @@ def test_numeric_flags_below_minimum(free2_file, monkeypatch, argv, flag):
     assert err.splitlines()[-1] == (
         f"raagkit {command}: error: argument {flag}: invalid int value: 'x'"
     )
+
+
+def test_ball_past_its_limit_is_an_input_error(p3_file, monkeypatch):
+    """A radius whose ball is counted past ``cube.BALL_LIMIT`` exits 2 before any sample."""
+    monkeypatch.setenv("COLUMNS", "200")
+    for command in ("axioms", "chains"):
+        argv = ["cube", command, p3_file, "--radius", "1000000", "--samples", "0"]
+        assert run(argv) == (
+            2,
+            "",
+            f"error: the ball of radius 1000000 has more than {cube.BALL_LIMIT} elements\n"
+            f"{_USAGES['cube ' + command]}\n",
+        )
 
 
 def test_console_script_installed(p3_file):

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 
 import helpers as H
 from raagkit import (
+    BadParameter,
     ChainTooShort,
     DefiningGraph,
     GraphMismatch,
@@ -474,9 +475,9 @@ def test_stretch_reads_raw_walls(suite_graphs):
     path (the same wall when the path backtracks), or a random wall.
     "One position" is judged against ``_canon_base`` equality, and the s1
     reading (one position, same orientation) against equality of the
-    canonical half-spaces.  ``_global_nesting`` must agree with the public
-    relations at the canonical bases and with the probe and interval
-    oracles of ``helpers.py``.
+    canonical half-spaces.  The direction read off the stretch and
+    ``_walls_tight`` must agree with the public relations at the canonical
+    bases and with the probe and interval oracles of ``helpers.py``.
     """
     seen = Counter()
 
@@ -512,7 +513,8 @@ def test_stretch_reads_raw_walls(suite_graphs):
                     same = hc.wall_key() == kc.wall_key()
                     assert (len(stretch) == 1) == same
                     assert (len(stretch) == 1 and neg_u == neg_v) == (hc == kc)
-                    direction, tight = cube._global_nesting(graph, u, v)
+                    direction = cube._direction_in(graph, stretch, neg_u, neg_v)
+                    tight = cube._walls_tight(graph, u, v)
                     assert (direction, tight) == (
                         nested_globally(hc, kc),
                         tightly_nested_globally(hc, kc),
@@ -526,6 +528,113 @@ def test_stretch_reads_raw_walls(suite_graphs):
     check()
     assert seen["same"] >= 2000 and seen["equal"] >= 800, seen
     assert seen["nested"] >= 1500 and seen["tight"] >= 600, seen
+
+
+def test_tightness_needs_labels_that_do_not_commute(suite_graphs):
+    """Walls with adjacent labels are never tightly nested, and tightness equals the interval oracle.
+
+    Tight walls sit at a covering pair of heap positions, whose letters do
+    not commute.  Pairs are the walls at adjacent positions of an interval
+    (tight when their letters do not commute), ``(H, f(H̄))`` as in axiom
+    s3, and half-spaces of random edges, in random orientations and both
+    orders.
+    """
+    seen = Counter()
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(
+        graph=H.random_graphs() | st.sampled_from(list(suite_graphs.values())),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(graph, seed):
+        rng = random.Random(seed)
+        letters = [(v, s) for v in graph.vertices for s in (1, -1)]
+
+        def vertex():
+            return Word.from_letters(graph, [rng.choice(letters) for _ in range(rng.randint(0, 5))])
+
+        def edge():
+            return halfspace_of_edge(vertex(), rng.choice(letters))
+
+        def orient(hs):
+            return hs.complement() if rng.random() < 0.5 else hs
+
+        pairs = []
+        for _ in range(3):
+            walls = interval(vertex(), vertex()).halfspaces
+            pairs += [(orient(a), orient(b)) for a, b in zip(walls, walls[1:])]
+            h = edge()
+            pairs += [(h, act(vertex(), h.complement())), (orient(h), orient(edge()))]
+        for p, q in pairs:
+            for h, k in ((p, q), (q, p)):
+                tight = tightly_nested_globally(h, k)
+                adjacent = graph.adjacent(h.label, k.label)
+                assert not (adjacent and tight)
+                assert tight == H.tight_by_interval(h, k)
+                seen.update(adjacent=adjacent, tight=tight)
+
+    check()
+    assert seen["adjacent"] >= 500 and seen["tight"] >= 550, seen
+
+
+def test_labels_and_flags_skip_the_passes(suite_graphs):
+    """Pairs whose answer the labels or orientation flags fix make no reduction or pass.
+
+    Walls with adjacent labels are never tight, so ``tightly_nested_globally``
+    reads no ``_stretch`` for them.  H and g·H have one label, so
+    ``in_a_g_plus`` and the no-overlap search read their nesting from the
+    stretch's length and flags, with no ``_reach`` pass.  A sample of
+    ``check_special_axioms`` reads one stretch for s1 and s3 and one for s4's
+    eligibility when H's and K's labels are not adjacent: s2 and s4's
+    crossing test pair labels that are not adjacent, and read none.
+    """
+    calls = Counter()
+
+    def counting(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def labels(graph, h, k):
+        calls["apart" if not (graph._lk_mask[h[1]] >> k[1]) & 1 else "adjacent"] += 1
+        return walls_tight(graph, h, k)
+
+    walls_tight = cube._walls_tight
+    rng = random.Random(11)
+    with mock.patch.multiple(cube, _stretch=counting(cube._stretch), _reach=counting(cube._reach)):
+        for graph in suite_graphs.values():
+            pool = ball(graph, 2)
+            hs = [
+                halfspace_of_edge(rng.choice(pool), (v, rng.choice((1, -1))))
+                for v in graph.vertices
+                for _ in range(4)
+            ]
+            for h in hs:
+                for k in hs:
+                    if graph.adjacent(h.label, k.label):
+                        calls["adjacent pairs"] += 1
+                        assert not tightly_nested_globally(h, k)
+        assert calls["adjacent pairs"] > 100 and not calls["_stretch"], calls
+
+        for graph, text in ((suite_graphs["c5"], "acBD"), (suite_graphs["k3_pendant"], "abdc")):
+            g = w(graph, text)
+            calls.clear()
+            for v in ball(graph, 2):
+                for letter in graph.vertices:
+                    in_a_g_plus(g, halfspace_of_edge(v, letter))
+            assert calls["_stretch"] > 0 and not calls["_reach"], calls
+            calls.clear()
+            assert search_prop_noov_violation(g, radius=2, samples=12).triples_checked > 0
+            assert calls["_stretch"] > 0 and not calls["_reach"], calls
+
+        with mock.patch.object(cube, "_walls_tight", labels):
+            for graph in suite_graphs.values():
+                calls.clear()
+                assert check_special_axioms(graph, samples=300, radius=3, seed=7).ok
+                assert calls["_stretch"] == 300 + calls["apart"], calls
+                assert calls["apart"] + calls["adjacent"] == 300, calls
 
 
 # -- chains -----------------------------------------------------------------
@@ -784,6 +893,30 @@ def test_ball_matches_cayley_ball():
     assert seen["elements"] >= 1000, seen
 
 
+def test_ball_limit_is_counted_before_building(c5):
+    """A radius whose ball passes ``BALL_LIMIT`` is refused from the count of its next length.
+
+    c5's ball has 131,441 elements at radius 6 and 819,971 at radius 7, so
+    a radius of 7 or more is refused after the extensions of radius 6 are
+    counted: no element of length 7 is built.  A graph with no letters
+    stops growing at once.
+    """
+    extensions, calls = cube._extensions, Counter()
+
+    def counting(graph, v):
+        calls[len(v)] += 1
+        return extensions(graph, v)
+
+    for radius in (7, 40):
+        calls.clear()
+        with mock.patch.object(cube, "_extensions", counting), pytest.raises(
+            BadParameter, match=f"radius {radius} has more than {cube.BALL_LIMIT} elements"
+        ):
+            ball(c5, radius)
+        assert sum(calls.values()) == 131_441 and max(calls) == 6, calls
+    assert [v.display() for v in ball(DefiningGraph([], []), 10**9)] == ["1"]
+
+
 def test_check_special_axioms_small(p3):
     report = check_special_axioms(p3, samples=60, radius=2, seed=1)
     assert report.ok
@@ -886,8 +1019,10 @@ def test_check_special_axioms_reports_planted_faults(p3):
     At radius 0 the only element is the identity, so f(H̄) is H's wall; a
     ``_stretch`` that reports both walls oriented alike makes it H itself
     (s1).  Walls that always cross give s2 on every sample and s4 on every
-    eligible one; walls that always nest tightly give s3 on every sample and
-    make every sample eligible for s4.
+    eligible one.  Walls that always nest tightly give s3 on every sample
+    and make every sample eligible for s4: s3 reads the stretch it shares
+    with s1, and s4 asks ``_walls_tight``, which answers adjacent labels
+    before any stretch, so the fault is planted in both.
     """
     real = cube._stretch
 
@@ -895,17 +1030,19 @@ def test_check_special_axioms_reports_planted_faults(p3):
         stretch, neg_h, _ = real(graph, h, k)
         return stretch, neg_h, neg_h
 
-    def run(name, fake, radius):
-        with mock.patch.object(cube, name, fake):
+    def run(radius, **fakes):
+        with mock.patch.multiple(cube, **fakes):
             report = check_special_axioms(p3, samples=25, radius=radius, seed=3)
         assert all(" H=(" in v for v in report.violations)
         return report.checked, Counter(v.split(": f=")[0] for v in report.violations)
 
-    checked, found = run("_stretch", same_side, 0)
+    checked, found = run(0, _stretch=same_side)
     assert found["s1"] == 25, found
-    checked, found = run("_walls_cross", lambda graph, h, k: True, 2)
+    checked, found = run(2, _walls_cross=lambda graph, h, k: True)
     assert found == {"s2": 25, "s4": checked["s4_eligible"]} and found["s4"] > 0, found
-    checked, found = run("_nesting_in", lambda graph, *stretch: (1, True), 2)
+    checked, found = run(
+        2, _tight_in=lambda graph, *stretch: True, _walls_tight=lambda graph, h, k: True
+    )
     assert found["s3"] == checked["s4_eligible"] == 25 and set(found) <= {"s3", "s4"}, found
 
 

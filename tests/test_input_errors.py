@@ -29,6 +29,7 @@ from raagkit import (
 )
 
 P3 = DefiningGraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+C5 = DefiningGraph(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
 
 # JSON-like values: what a caller might pass by mistake, nested a few levels
 JSON = st.recursive(
@@ -177,18 +178,25 @@ def test_unknown_mode_is_a_raag_error(call):
         lambda: check_max_chains(P3, seed={}),
         lambda: check_max_chains(P3, seed=None),
         lambda: search_prop_noov_violation(Word.parse(P3, "ac"), seed=1.5),
+        # a ball counted past its limit is refused before it is built
+        lambda: ball(C5, 40),
+        lambda: check_special_axioms(C5, samples=0, radius=40),
+        lambda: check_max_chains(P3, samples=0, radius=10**6),
+        lambda: search_prop_noov_violation(Word.parse(C5, "ac"), samples=0, radius=40),
     ],
     ids=[
         "n_max", "reps_cap", "n_max-float", "ball", "ball-float", "axioms-samples",
         "axioms-radius", "chains-bool", "chains-str", "noov-samples", "noov-radius",
         "axioms-seed-list", "axioms-seed-bool", "chains-seed-dict", "chains-seed-none",
-        "noov-seed-float",
+        "noov-seed-float", "ball-limit", "axioms-ball-limit", "chains-ball-limit",
+        "noov-ball-limit",
     ],
 )
 def test_bad_parameter_is_a_raag_error(call):
-    """A count, cap or radius below its least value, or a count, cap, radius or
-    seed that is not an int, is a RaagError and a ValueError, so no check passes
-    without running."""
+    """A count, cap or radius below its least value, a count, cap, radius or
+    seed that is not an int, or a radius whose ball would pass
+    ``cube.BALL_LIMIT`` elements, is a RaagError and a ValueError, so no
+    check passes without running."""
     with pytest.raises(BadParameter) as info:
         call()
     assert isinstance(info.value, RaagError) and isinstance(info.value, ValueError)

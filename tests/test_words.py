@@ -40,6 +40,8 @@ from raagkit import words
 from raagkit.words import (
     _SPLIT_LETTERS,
     MAX_WORD_LETTERS,
+    _can_lead,
+    _first_letters,
     _inv_codes,
     _nf_of,
     _reduce_codes,
@@ -377,6 +379,32 @@ def test_strip_suffix_matches_restarting_strip():
             )
 
     check()
+
+
+def test_can_lead_is_a_first_letters_bit():
+    """The early-exit scan reads the bit of ``_first_letters`` it is asked for.
+
+    Every letter is asked of random words, reduced or not, and of the empty
+    word, from the front and, through ``reversed``, from the back.
+    """
+    seen = Counter()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(graph=H.random_graphs(), data=st.data())
+    def check(graph, data):
+        codes = bytes(
+            data.draw(st.lists(st.integers(0, graph.letter_count - 1), max_size=10))
+        )
+        for word in (codes, normal_form(Word(graph, codes)).codes, b""):
+            first, last = _first_letters(graph, word), _first_letters(graph, word[::-1])
+            for code in range(graph.letter_count):
+                lead = _can_lead(graph, word, code)
+                assert lead == bool((first >> code) & 1)
+                assert _can_lead(graph, reversed(word), code) == bool((last >> code) & 1)
+                seen.update(lead=lead, blocked=not lead and code in word)
+
+    check()
+    assert seen["lead"] >= 550 and seen["blocked"] >= 450, seen
 
 
 def test_normal_form_matches_greedy_scan():
