@@ -32,16 +32,17 @@ letter of its generator and k's the last of its own, and the stretch
 between them is all that is read: it has one position exactly when the two
 are one wall, and the walls nest when they are oriented alike and the last
 position lies above the first.  Labels and orientation flags settle most
-pairs before any pass.  Two positions whose letters do not commute, as any
-two of one generator, are comparable at once, so walls of one label nest
-or not by their flags alone; only commuting labels need the one bitmask
-pass over the up-set of the first position.  Tight walls sit at a covering
-pair of positions, whose letters do not commute, so walls with adjacent
-labels are never tight and are answered with no reduction; otherwise the
-walls nest tightly when no position lies in that up-set and in the
-down-set of the last, one more pass.  No heap is built.  ``in_a_g_plus``
-reads the same nesting: g's axis enters H exactly when ``H ⊋ g·H`` (g
-skewers H), one reduction of ``b^-1 g b`` for the base ``b`` and no pass.
+pairs before any pass.  Two positions of one generator are comparable, so
+walls of one label nest or not by their flags alone.  Tight walls sit at a
+covering pair of positions, whose letters do not commute, so walls with
+adjacent labels are never tight and are answered with no reduction.  The
+rest is read by one forward bitmask pass over the stretch (:func:`_order`):
+it grows the up-set of the first position and stops at the first position
+in it whose letter does not commute with the last's, which lies between
+the two; when there is none, the last position covers the first or is not
+above it.  No heap is built.  ``in_a_g_plus`` reads the same nesting:
+g's axis enters H exactly when ``H ⊋ g·H`` (g skewers H), one reduction of
+``b^-1 g b`` for the base ``b`` and no pass.
 The median of ``x, y, z`` is ``x`` times the meet of
 ``reduce(x^-1 y)`` and ``reduce(x^-1 z)`` in the prefix order of traces, the
 same meet that cyclic reduction takes of ``w`` and ``w^-1``.
@@ -394,8 +395,9 @@ def _longest_walks(
     only when comparable.  One scan from ``j``'s end gives each position its
     height: the most positions a walk from it down to ``j`` passes, itself
     included.  The walk steps from ``i`` to comparable positions one height
-    lower, trying them in position order or in ``key`` order; ``first``
-    stops at the first walk.
+    lower, trying them in position order or in ``key`` order: depth first,
+    on an explicit stack whose steps are pushed in reverse, so walks come
+    in that order; ``first`` stops at the first walk.
     """
     mids = _between(down, i, j)
     if not mids:  # the pair is a cover: its one walk has no interior
@@ -405,18 +407,19 @@ def _longest_walks(
         height[r] = 1 + max((height[s] for s in height if _comparable(down, r, s)), default=0)
     order = sorted(mids, key=key) if key else mids
     walks: list[tuple[int, ...]] = []
-
-    def walk(path: tuple[int, ...], need: int) -> None:
+    stack = [((i,), max(height.values()))]
+    while stack:
+        path, need = stack.pop()
         if not need:
             walks.append(path + (j,))
-            return
-        for s in order:
-            if height[s] == need and _comparable(down, path[-1], s):
-                walk(path + (s,), need - 1)
-                if walks and first:
-                    return
-
-    walk((i,), max(height.values()))
+            if first:
+                break
+            continue
+        stack += [
+            (path + (s,), need - 1)
+            for s in reversed(order)
+            if height[s] == need and _comparable(down, path[-1], s)
+        ]
     return walks
 
 
@@ -518,26 +521,25 @@ def _stretch(graph: DefiningGraph, h: tuple, k: tuple) -> tuple[bytes, bool, boo
     return w[lo : hi + 1], x_head == (s_h > 0), y_head != (s_k > 0)
 
 
-def _reach(graph: DefiningGraph, word: bytes, positions: range) -> int:
-    """Bitmask of the positions above the first of ``positions`` in the heap of ``word``.
+def _order(graph: DefiningGraph, stretch: bytes) -> int:
+    """How the last position of a ``stretch`` of two or more positions sits over its first.
 
-    ``positions`` runs through the word from that position; run backwards,
-    it gives the positions below it.  One pass: a position is above when its
-    letter fails to commute with that of the first or of one already found.
+    0 when it is not above the first, 1 when it is above with a position
+    between, 2 when the two are a covering pair.  One forward pass: a
+    position is above the first when its letter fails to commute with that
+    of the first or of one already found (``blocked``).  The last step of a
+    chain up to the last position is a covering pair, whose letters do not
+    commute, so a position lies between exactly when it is above the first
+    and its letter does not commute with the last's; the pass stops there.
     """
     nc = graph._nc_mask
-    blocked, reached = nc[word[positions[0]]], 0
-    for r in positions[1:]:
-        if (blocked >> word[r]) & 1:
-            blocked |= nc[word[r]]
-            reached |= 1 << r
-    return reached
-
-
-def _above(graph: DefiningGraph, stretch: bytes) -> bool:
-    """Whether the last position of a nonempty ``stretch`` lies above its first."""
-    last = len(stretch) - 1
-    return bool((_reach(graph, stretch, range(last + 1)) >> last) & 1)
+    blocked, last = nc[stretch[0]], nc[stretch[-1]]
+    for c in stretch[1:-1]:
+        if (blocked >> c) & 1:
+            if (last >> c) & 1:
+                return 1
+            blocked |= nc[c]
+    return 2 if (blocked >> stretch[-1]) & 1 else 0
 
 
 def _walls_cross(graph: DefiningGraph, h: tuple, k: tuple) -> bool:
@@ -545,7 +547,7 @@ def _walls_cross(graph: DefiningGraph, h: tuple, k: tuple) -> bool:
     if not (graph._lk_mask[h[1]] >> k[1]) & 1:
         return False
     stretch, _, _ = _stretch(graph, h, k)
-    return not stretch or not _above(graph, stretch)
+    return not stretch or not _order(graph, stretch)
 
 
 def hyperplanes_cross(h: HalfSpace, k: HalfSpace) -> bool:
@@ -563,16 +565,12 @@ def _direction_in(
 ) -> Optional[int]:
     """The nesting direction of the walls at the ends of a :func:`_stretch`.
 
-    The walls nest when they are oriented alike and the last position lies
-    above the first (a one-position stretch is one wall).  Two positions
-    whose letters do not commute, as any two of one generator, are
-    comparable at once; only commuting letters need the pass of
-    :func:`_reach`.  Oriented toward the end, the half-space of the lower
-    position contains the other's.
+    The walls nest when they are oriented alike and :func:`_order` finds
+    the last position above the first (a one-position stretch is one wall).
+    Oriented toward the end, the half-space of the lower position contains
+    the other's.
     """
-    if neg_h != neg_k or len(stretch) < 2:
-        return None
-    if not (graph._nc_mask[stretch[0]] >> stretch[-1]) & 1 and not _above(graph, stretch):
+    if neg_h != neg_k or len(stretch) < 2 or not _order(graph, stretch):
         return None
     return -1 if neg_h else 1
 
@@ -580,15 +578,11 @@ def _direction_in(
 def _tight_in(graph: DefiningGraph, stretch: bytes, neg_h: bool, neg_k: bool) -> bool:
     """Whether the walls at the ends of a :func:`_stretch` nest tightly.
 
-    They nest as :func:`_direction_in` reads it, and no position lies above
-    the first and below the last: the up-set of the first and the down-set
-    of the last are one pass each, with no heap built.
+    They nest as :func:`_direction_in` reads it, and no position lies
+    between: :func:`_order` finds a covering pair, in one pass with no heap
+    built.
     """
-    if neg_h != neg_k or len(stretch) < 2:
-        return False
-    last = len(stretch) - 1
-    up = _reach(graph, stretch, range(last + 1))
-    return bool((up >> last) & 1) and not up & _reach(graph, stretch, range(last, -1, -1))
+    return neg_h == neg_k and len(stretch) > 1 and _order(graph, stretch) == 2
 
 
 def _walls_tight(graph: DefiningGraph, h: tuple, k: tuple) -> bool:
@@ -787,12 +781,12 @@ def check_special_axioms(
     f(H̄): they are one wall exactly when it has one position, and f(H̄) = H
     when the two are also oriented alike.  Walls of one label nest or not by
     their orientation flags alone, as two positions of one generator are
-    comparable; only tightness needs the bitmask passes.  s1, s2 and s4 hold by
-    construction: f(H̄) has the sign opposite to H; crossing needs adjacent
-    labels, so H never crosses a wall of its own label; and tight nesting
-    needs labels that do not commute, so H and K are never eligible for s4
-    when their labels are adjacent, and then H does not cross f(K), whose
-    label is K's.  These three are kept as checks of the representation;
+    comparable; only tightness needs the pass of :func:`_order`.  s1, s2 and
+    s4 hold by construction: f(H̄) has the sign opposite to H; crossing
+    needs adjacent labels, so H never crosses a wall of its own label; and
+    tight nesting needs labels that do not commute, so H and K are never
+    eligible for s4 when their labels are adjacent, and then H does not
+    cross f(K), whose label is K's.  These three are kept as checks of the representation;
     only s3 is sampled evidence.
     """
     _check_at_least("samples", samples, 0)

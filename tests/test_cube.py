@@ -21,6 +21,7 @@ power and against the power-window probes it replaced.  Distances fall out
 of normal forms, which test_words.py pins to the elementary-moves oracle.
 """
 
+import gc
 import random
 from collections import Counter
 from unittest import mock
@@ -530,6 +531,51 @@ def test_stretch_reads_raw_walls(suite_graphs):
     assert seen["nested"] >= 1500 and seen["tight"] >= 600, seen
 
 
+def test_order_matches_closed_heap(suite_graphs):
+    """``_order`` against the heap order closed transitively, on reduced words of 2 to 8 letters.
+
+    The oracle orders two positions when the earlier letter does not
+    commute with the later one (equal generators, or generators that are
+    not adjacent) and closes that relation transitively.  The last position
+    is above the first or not, and when it is above, some position lies
+    between them or the two are a covering pair.
+    """
+    seen = Counter()
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        graph=H.random_graphs() | st.sampled_from(list(suite_graphs.values())),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(graph, seed):
+        rng = random.Random(seed)
+        names = graph.vertices
+        for _ in range(8):
+            word, n = b"", rng.randint(2, 8)
+            while len(word) < n:
+                c = bytes([rng.randrange(graph.letter_count)])
+                if len(reduce(Word(graph, word + c))) > len(word):
+                    word += c
+            below = [set() for _ in word]
+            for j, c in enumerate(word):
+                for i in range(j):
+                    u, v = names[word[i] >> 1], names[c >> 1]
+                    if u == v or not graph.adjacent(u, v):
+                        below[j] |= {i} | below[i]
+            last = len(word) - 1
+            if 0 not in below[last]:
+                want = 0
+            elif any(0 in below[r] for r in below[last]):
+                want = 1
+            else:
+                want = 2
+            assert cube._order(graph, word) == want
+            seen[want] += 1
+
+    check()
+    assert seen[0] >= 200 and seen[1] >= 500 and seen[2] >= 110, seen
+
+
 def test_tightness_needs_labels_that_do_not_commute(suite_graphs):
     """Walls with adjacent labels are never tightly nested, and tightness equals the interval oracle.
 
@@ -583,7 +629,7 @@ def test_labels_and_flags_skip_the_passes(suite_graphs):
     Walls with adjacent labels are never tight, so ``tightly_nested_globally``
     reads no ``_stretch`` for them.  H and g·H have one label, so
     ``in_a_g_plus`` and the no-overlap search read their nesting from the
-    stretch's length and flags, with no ``_reach`` pass.  A sample of
+    stretch's length and flags, with no ``_order`` pass.  A sample of
     ``check_special_axioms`` reads one stretch for s1 and s3 and one for s4's
     eligibility when H's and K's labels are not adjacent: s2 and s4's
     crossing test pair labels that are not adjacent, and read none.
@@ -603,7 +649,7 @@ def test_labels_and_flags_skip_the_passes(suite_graphs):
 
     walls_tight = cube._walls_tight
     rng = random.Random(11)
-    with mock.patch.multiple(cube, _stretch=counting(cube._stretch), _reach=counting(cube._reach)):
+    with mock.patch.multiple(cube, _stretch=counting(cube._stretch), _order=counting(cube._order)):
         for graph in suite_graphs.values():
             pool = ball(graph, 2)
             hs = [
@@ -624,10 +670,10 @@ def test_labels_and_flags_skip_the_passes(suite_graphs):
             for v in ball(graph, 2):
                 for letter in graph.vertices:
                     in_a_g_plus(g, halfspace_of_edge(v, letter))
-            assert calls["_stretch"] > 0 and not calls["_reach"], calls
+            assert calls["_stretch"] > 0 and not calls["_order"], calls
             calls.clear()
             assert search_prop_noov_violation(g, radius=2, samples=12).triples_checked > 0
-            assert calls["_stretch"] > 0 and not calls["_reach"], calls
+            assert calls["_stretch"] > 0 and not calls["_order"], calls
 
         with mock.patch.object(cube, "_walls_tight", labels):
             for graph in suite_graphs.values():
@@ -713,6 +759,28 @@ def test_longest_chains_match_run_enumeration():
 
     check()
     assert seen["several"] >= 40 and seen["interior"] >= 1000, seen
+
+
+def test_chain_walks_leave_no_cycles(p3):
+    """Chain enumeration and the chain audit leave nothing for the cyclic collector.
+
+    The walks are grown on an explicit stack, with no nested function whose
+    cell refers back to it, so every object they make is freed by
+    reference counting alone.
+    """
+    ctx = interval(w(p3, "1"), w(p3, "acbAcaBca"))
+    pairs = [(h, k) for h in ctx for k in ctx if nested(h, k, ctx) == 1]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        chains = [all_longest_chains(h, k, ctx) for h, k in pairs]
+        assert check_max_chains(p3, samples=20).ok
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert sum(c.length > 0 for found in chains for c in found) > 10
 
 
 def test_chain_dataclass_length():
