@@ -78,6 +78,8 @@ class DefiningGraph:
         n = len(self.vertices)
         lk = [0] * n
         pair = [0] * n
+        # each edge once, as its endpoints in vertex order
+        ordered: set[tuple[str, str]] = set()
         for edge in edges:
             try:
                 if isinstance(edge, (str, bytes)):
@@ -96,11 +98,9 @@ class DefiningGraph:
             lk[j] |= 1 << i
             pair[i] |= 3 << 2 * j
             pair[j] |= 3 << 2 * i
+            ordered.add((names[i], names[j]) if i < j else (names[j], names[i]))
         self._lk_mask: tuple[int, ...] = tuple(lk)
-        self.edges: frozenset[tuple[str, str]] = frozenset(
-            (v, self.vertices[j]) for i, v in enumerate(self.vertices)
-            for j in _indices(lk[i]) if i < j
-        )
+        self.edges: frozenset[tuple[str, str]] = frozenset(ordered)
 
         # Letter codes: generator i contributes code 2*i (positive) and
         # 2*i + 1 (inverse).  Byte comparison of coded words is then exactly

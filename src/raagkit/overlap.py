@@ -18,8 +18,15 @@ exhaustive breadth-first enumeration of the rotation/swap closure (one word
 per rotation class, since the scanner is rotation invariant), and a cheap
 projection certificate that often bounds the closure maximum without
 enumerating it.  Moves only permute letters, so the enumeration recognises a
-class by its rotations at one letter every class holds equally often, and
-it skips the scanner altogether when no generator occurs with both signs.
+class by its rotations at one letter every class holds equally often.  It
+scans a class in full only where the swap that found it could lengthen an
+overlap: every window that avoids the two swapped letters reads as in the
+class it came from, whose maximum is already counted, and the pair
+condition is symmetric, so a longer pair has its ``u`` on a swapped letter.
+It skips the scanner altogether when no generator occurs with both signs;
+such a walk reports only the class count and whether the cap stopped it,
+which no queue order changes, so it keeps each class at the rotation it
+was found at and canonicalises none.
 The projection certificate tries singletons and then, on supports of up to
 5 generators, every partition into independent sets, or beyond that a
 chromatic coloring's classes, scanning each class once.
@@ -82,6 +89,33 @@ def _pair_at(codes: bytes, length: int, mode: str) -> Optional[tuple[int, int]]:
                 return i, j
             j = windows.find(target, j + 1)
     return None
+
+
+def _pair_near(codes: bytes, length: int, mode: str, t: int) -> bool:
+    """Whether some ``u`` of the given length covering position t or t + 1 has a ``u^-1``.
+
+    ``_pair_at`` restricted to the ``length + 1`` windows of ``u`` that
+    cover the two cyclic positions; the ``u^-1`` window may lie anywhere.
+    The loop is ``_pair_at``'s, kept apart so the full scan, which every
+    projection class runs, pays no extra call.
+    """
+    n = len(codes)
+    if length < 1 or length > n or (mode == "disjoint" and 2 * length > n):
+        return False
+    doubled = codes * 2
+    inv = _inv_codes(doubled)
+    windows = doubled[: n + length - 1]
+    for k in range(min(length + 1, n)):
+        i = (t - length + 1 + k) % n
+        target = inv[2 * n - i - length : 2 * n - i]
+        j = windows.find(target)
+        while j >= 0:
+            if i != j and (
+                mode != "disjoint" or ((j - i) % n >= length and (i - j) % n >= length)
+            ):
+                return True
+            j = windows.find(target, j + 1)
+    return False
 
 
 def _raw_max_overlap(
@@ -154,13 +188,26 @@ def _closure_scan(
 ) -> tuple[int, Optional[Witness], int, bool]:
     """Breadth-first walk of the swap closure over rotation classes, scanning as it goes.
 
-    Each queued node is a rotation class, stored as its least rotation
-    (``start`` must be one).  Its neighbours are the commuting swaps of two
-    cyclically adjacent letters, the wrap-around pair (last, first)
-    included; rotation itself is not a move.  The scanner is rotation
-    invariant, so one probe per class, one length above the current best,
-    sees the whole closure (per-word lengths are downward closed, so
-    nothing is missed).  ``cap`` bounds the number of classes.
+    Each queued node is a rotation class (``start`` must be its least
+    rotation).  Its neighbours are the commuting swaps of two cyclically
+    adjacent letters, the wrap-around pair (last, first) included; rotation
+    itself is not a move.  The scanner is rotation invariant, and per-word
+    lengths are downward closed, so a class holds an overlap longer than
+    ``best`` exactly when it holds one of length ``best + 1``.  ``cap``
+    bounds the number of classes.
+
+    A class is scanned in full only where its swap could lengthen an
+    overlap.  A class C is found from a class P, already dequeued, by one
+    swap, and ``best`` is at least P's maximum.  A window that avoids both
+    swapped positions reads the same letters in C as in P, and the pair
+    condition and the disjointness test are symmetric in the two windows,
+    so every pair of length ``best + 1`` in C, if any, can be read with its
+    ``u`` window on a swapped position.  At discovery ``_pair_near`` tries
+    just those ``best + 2`` windows; a class that fails has no overlap above
+    ``best``, which only grows, and the full scan at dequeue runs only on
+    the classes that pass and on the start.  Every other class would give
+    the full scan nothing, so the maximum and the first witness, read in
+    least-rotation coordinates, are those of scanning every class.
 
     Classes are recognised without canonicalising every neighbour.  The key
     letter ``r`` is the letter rarest in ``start`` (the least code among
@@ -174,25 +221,32 @@ def _closure_scan(
     starts with code 0.  Each dequeued class is read once as ``R``, its
     rotation at its first ``r``; a commuting swap of letters a, b at
     offsets j, j + 1 of ``R`` adds ``(b - a) * 255`` times the place value
-    of offset j + 1.  For 0 < j < n - 1 that sum is the neighbour's key.
-    At j = 0 the swap moves ``r`` on, and the sum is turned left by one
-    letter; the wrap pair j = n - 1 moves ``r`` back across the end, so
-    ``R`` is turned right first and the pair swapped at offsets 0, 1.
-    Shifts are computed per swap, so no table of n integers of n bytes is
-    built.  Only a new class is turned back into bytes, once, to find its
-    ``r``s: its keys are turns of the neighbour's key.  The least letter
-    is the same in every class too, so when ``r`` is that letter the least
-    rotation is the least key; otherwise it is ``_least_rotation``.
-    Neighbours are still taken in the order of the least rotation's
-    positions and tested against ``seen`` and then the cap, so the queue
-    order, and so the probes, the witness and the classes a cap lets in,
-    are those of keying every class by its least rotation.  A walked class
-    leaves the queue's slot empty, so the bytes kept are those of the
-    frontier, beside the keys.
+    of offset j + 1.  For 0 < j < n - 1 that sum is the neighbour's key,
+    swapped at offsets j, j + 1.  At j = 0 the swap moves ``r`` on, and the
+    sum is turned left by one letter, so the swapped offsets are n - 1, 0;
+    the wrap pair j = n - 1 moves ``r`` back across the end, so ``R`` is
+    turned right first and the pair swapped at offsets 0, 1.  Shifts are
+    computed per swap, so no table of n integers of n bytes is built.  Only
+    a new class is turned back into bytes, once, to find its ``r``s: its
+    keys are turns of the neighbour's key.
 
     A length-1 overlap is a generator occurring with both signs, which the
     closure cannot change; when ``start`` has none no class has one, and
-    the walk only counts classes.  Returns (max, witness, classes, capped).
+    the walk only counts classes.  Its report is then
+    ``(0, None, min(C, cap), C > cap)`` for the C classes of the closure,
+    whatever the queue order: the admitted classes stay connected, so a
+    walk that stops below the cap has met every class, and one that reaches
+    it meets a class it cannot admit.  Such a walk queues each class at the
+    key rotation it already has.  A probing walk queues the least rotation
+    and takes its neighbours in the order of its positions, tested against
+    ``seen`` and then the cap, so the queue order, the witness and the
+    classes a cap lets in are those of keying every class by its least
+    rotation.  The least letter is the
+    same in every class too, so when ``r`` is that letter the least
+    rotation is the least key; otherwise it is ``_least_rotation``.  A
+    walked class leaves the queue's slot empty, so the bytes kept are those
+    of the frontier, beside the keys.  Returns (max, witness, classes,
+    capped).
     """
     n = len(start)
     key = min(set(start), key=lambda c: (start.count(c), c))
@@ -200,6 +254,8 @@ def _closure_scan(
     probe = _pair_at(start, 1, mode) is not None
     seen = {int.from_bytes(rot, "big") for rot in _rotations_at(start, key)}
     queue: list[Optional[bytes]] = [start]
+    # the queue positions of the classes to scan in full
+    flagged = {0} if probe else set()
     best = 0
     witness: Optional[Witness] = None
     capped = False
@@ -212,11 +268,11 @@ def _closure_scan(
         rep = queue[head]
         # a walked class is known by its keys in seen alone; len(queue) counts it
         queue[head] = None
-        head += 1
-        if probe:
+        if head in flagged:
             best, raw = _raw_max_overlap(rep, mode, best)
             if raw is not None:
                 witness = _witness_from(graph, rep, raw)
+        head += 1
         doubled = rep * 2
         p = rep.find(key)
         rotated = int.from_bytes(doubled[p : p + n], "big")
@@ -247,6 +303,13 @@ def _closure_scan(
                 keys.append((x << 8 * k | x >> 8 * (n - k)) & mask)
                 k = nb.find(key, k + 1)
             seen.update(keys)
+            if not probe:
+                queue.append(nb)
+                continue
+            # the swapped offsets of nb are t and t + 1
+            t = n - 1 if j == 0 else 0 if j == n - 1 else j
+            if _pair_near(nb, best + 1, mode, t):
+                flagged.add(len(queue))
             queue.append(min(keys).to_bytes(n, "big") if key_is_least else _least_rotation(nb))
     return best, witness, len(queue), capped
 

@@ -100,6 +100,33 @@ def test_link_masks_match_edge_lists(data):
     assert DefiningGraph(names[::-1], edges) != g
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(H.random_graph_data(), st.randoms(use_true_random=False))
+def test_edges_read_as_the_link_masks(data, rng):
+    """``edges`` holds each edge once, its endpoints in vertex order.
+
+    Vertices come in a shuffled order and edges shuffled, each in a random
+    orientation, with the first listed again the other way round.  The
+    edge set, ``repr``, the JSON block, equality and the hash all agree with
+    reading the link masks bit by bit.
+    """
+    names, edges = data
+    rng.shuffle(names)
+    listed = [e[::-1] if rng.random() < 0.5 else e for e in edges]
+    rng.shuffle(listed)
+    listed += [listed[0][::-1]] if listed else []
+    g = DefiningGraph(names, listed)
+    n = len(names)
+    read = frozenset(
+        (names[i], names[j]) for i in range(n) for j in range(i + 1, n) if g._lk_mask[i] >> j & 1
+    )
+    assert g.edges == read
+    assert repr(g) == f"DefiningGraph(vertices={names!r}, edges={sorted(read)!r})"
+    assert g.to_json_dict() == {"vertices": names, "edges": sorted(sorted(e) for e in read)}
+    by_read = DefiningGraph(names, sorted(read))
+    assert g == by_read and hash(g) == hash(by_read) and by_read.edges == read
+
+
 def test_find_triangle_matches_first_triple():
     # larger graphs than random_graphs draws, so the bit arithmetic of
     # find_triangle runs over more than five vertices

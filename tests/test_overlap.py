@@ -300,6 +300,41 @@ def test_closure_walk_matches_least_rotation_walk(suite_graphs, source, seed, n_
     assert got == expected
 
 
+@pytest.mark.parametrize(
+    "text, witness",
+    [
+        # the witness class is found by swapping E, d at offsets 3, 4 of its
+        # key rotation aCAEdCe; u = AE ends at offset 3, its inverse ea avoids both
+        ("ECedaCA", "aCAEdCe"),
+        # E, D swapped at offsets 1, 2 of aEDBdbd; u = DB begins at offset 2
+        ("EaDBdbd", "aEDBdbd"),
+        # the swap moved the key letter on (j = 0), so B, A sit at offsets 6, 0
+        # of AdbDBdB; the pair's window dB ends at offset 6
+        ("BdABdbD", "AdbDBdB"),
+    ],
+)
+@pytest.mark.parametrize("mode", ["disjoint", "any"])
+def test_near_windows_cover_both_swapped_letters(c5, text, witness, mode):
+    """Whole reports against the least-rotation walk where one window alone finds u.
+
+    A class is scanned in full only when a pair one longer than the best
+    has its ``u`` window on a letter its swap moved.  Here the only such
+    window covers one swapped letter alone, at an end of the window range.
+    A class like that needs at least seven letters: u, the other swapped
+    letter, ``u^-1``, and two letters between them that keep the word
+    cyclically reduced.  The words of
+    ``test_closure_walk_matches_least_rotation_walk`` have at most six
+    letters at n = 1, and their powers hold no such class.
+    """
+    g = w(c5, text)
+    got = [r.to_json_dict() for r in verify_key_lemma(g, 1, mode=mode)]
+    with mock.patch.object(overlap, "_closure_scan", H.closure_scan_by_least_rotation):
+        expected = [r.to_json_dict() for r in verify_key_lemma(g, 1, mode=mode)]
+    assert got == expected
+    assert got[0]["max_overlap_length"] == 2
+    assert got[0]["witness"]["representative"] == witness
+
+
 def test_closure_walk_builds_no_table_per_offset(edgeless2):
     """A 4,000-letter word is walked in memory linear in its length.
 
@@ -319,7 +354,7 @@ def test_closure_walk_builds_no_table_per_offset(edgeless2):
 @pytest.mark.parametrize(
     "graph_name, text, mode, classes, maximum, probed",
     [
-        # no generator occurs with both signs: the walk probes no class
+        # no generator occurs with both signs: the walk only counts classes
         ("c5", "abcde", "disjoint", [11, 67, 462], 0, False),
         ("c5", "acBDea", "disjoint", [19, 193, 2356], 0, False),
         ("k3_pendant", "abdcBD", "disjoint", [10, 115, 1820], 1, True),
@@ -327,22 +362,60 @@ def test_closure_walk_builds_no_table_per_offset(edgeless2):
     ],
 )
 def test_fixed_closures(suite_graphs, graph_name, text, mode, classes, maximum, probed):
-    """The benchmark's closures: class counts, maxima and which walks probe."""
+    """The benchmark's closures: class counts, maxima and which scans run."""
     probes = Counter()
+    near = mock.Mock(wraps=overlap._pair_near)
 
     def counting(codes, *args):
         probes[codes] += 1
         return H.pair_at_by_window_dict(codes, *args)
 
-    with mock.patch.object(overlap, "_pair_at", counting):
+    with mock.patch.object(overlap, "_pair_at", counting), mock.patch.object(
+        overlap, "_pair_near", near
+    ):
         reports = verify_key_lemma(w(suite_graphs[graph_name], text), n_max=3, mode=mode)
     assert [r.representatives_checked for r in reports] == classes
     assert [r.max_overlap_length for r in reports] == [maximum] * 3
     assert not any(r.cap_exceeded or r.violated for r in reports)
     assert all((r.witness is not None) == (maximum > 0) for r in reports)
-    # every class is probed when any is; otherwise only each power's start,
-    # by the test that decides to skip
-    assert len(probes) == (sum(classes) if probed else 3)
+    # the full scanner reads each power's start alone: no swap here can
+    # lengthen an overlap, and a counting walk scans nothing else; a probing
+    # walk tries the swapped windows of every other class once (1,942 times)
+    assert len(probes) == 3
+    assert near.call_count == (sum(classes) - 3 if probed else 0)
+
+
+@pytest.mark.parametrize(
+    "text, caps",
+    [("acBDea", (overlap.DEFAULT_REPS_CAP,)), ("AABe", (1, 2, 5, overlap.DEFAULT_REPS_CAP))],
+)
+def test_counting_walks_canonicalise_nothing(c5, text, caps):
+    """A walk with no generator of both signs keeps no least rotations.
+
+    Its report does not depend on the queue order, so it queues each class
+    at the key rotation it already holds.  In both words the key letter B
+    is not the least letter, so a probing walk would call
+    ``_least_rotation``.
+    Class counts and ``cap_exceeded`` still match the least-rotation walk.
+    """
+    g = w(c5, text)
+    starts = Counter(core_of_power(g, n).canonical().codes for n in (1, 2, 3))
+    for cap in caps:
+        for mode in ("disjoint", "any"):
+            pair_at = mock.Mock(wraps=overlap._pair_at)
+            least = mock.Mock(wraps=overlap._least_rotation)
+            with mock.patch.object(overlap, "_pair_at", pair_at), mock.patch.object(
+                overlap, "_least_rotation", least
+            ):
+                got = verify_key_lemma(g, 3, cap, mode)
+            with mock.patch.object(overlap, "_closure_scan", H.closure_scan_by_least_rotation):
+                expected = verify_key_lemma(g, 3, cap, mode)
+            assert least.call_count == 0
+            assert Counter(call.args[0] for call in pair_at.call_args_list) == starts
+            assert [(r.representatives_checked, r.cap_exceeded) for r in got] == [
+                (r.representatives_checked, r.cap_exceeded) for r in expected
+            ]
+            assert all(r.max_overlap_length == 0 and r.witness is None for r in got)
 
 
 # -- projection certificates ------------------------------------------------
