@@ -1179,15 +1179,26 @@ def test_check_max_chains_matches_interval_oracle(suite_graphs):
         samples=st.integers(0, 60),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(graph=suite_graphs["c5"], radius=3, samples=60, seed=2)  # 10 midpoint pairs
-    @example(graph=suite_graphs["k3_pendant"], radius=3, samples=60, seed=2)  # 17
     def check(graph, radius, samples, seed):
         got = check_max_chains(graph, samples=samples, radius=radius, seed=seed).to_json_dict()
         assert got == H.check_max_chains_by_intervals(graph, samples, radius, seed).to_json_dict()
-        seen.update(pairs=got["nested_pairs"], midpoint_pairs=got["midpoint_pairs"])
+        seen.update(pairs=got["nested_pairs"])
 
     check()
-    assert seen["pairs"] >= 2000 and seen["midpoint_pairs"] >= 27, seen
+    assert seen["pairs"] >= 2000, seen
+
+
+@pytest.mark.parametrize("name, midpoint_pairs", [("c5", 10), ("k3_pendant", 17)])
+def test_check_max_chains_compares_midpoints(suite_graphs, name, midpoint_pairs):
+    """Two runs whose chains have several midpoints, which random draws seldom reach.
+
+    The count is exact, so the midpoint comparison is covered whatever the
+    draws of the test above.
+    """
+    graph = suite_graphs[name]
+    got = check_max_chains(graph, samples=60, radius=3, seed=2).to_json_dict()
+    assert got == H.check_max_chains_by_intervals(graph, 60, 3, 2).to_json_dict()
+    assert got["midpoint_pairs"] == midpoint_pairs
 
 
 def test_chain_midpoints_are_midpoint(suite_graphs):
