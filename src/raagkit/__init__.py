@@ -11,7 +11,8 @@ module and keeps the value in this namespace, so later lookups are plain
 dict hits (module ``__getattr__``, PEP 562); a submodule such as
 ``raagkit.cube`` loads the same way.  So ``raagkit.parse_graph`` loads only
 ``graphs`` and ``errors``.  The command-line front end, ``raagkit.cli``,
-loads every module when it starts, because its parser is built at import.
+calls the library through this namespace, so each subcommand loads only the
+modules it calls.
 """
 
 from importlib import import_module as _import_module
@@ -74,5 +75,5 @@ def __getattr__(name):
 
 
 def __dir__():
-    """The loaded names and every export, loaded or not."""
-    return sorted({*globals(), *__all__})
+    """The loaded names, every export and every submodule, loaded or not."""
+    return sorted({*globals(), *__all__, *_EXPORTS})

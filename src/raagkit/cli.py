@@ -10,26 +10,27 @@ failed (a violated bound, axiom, or nonzero residual), 2 usage or input errors.
 ``verify-overlap`` walks the rotation/swap closure of each power's core one
 rotation class at a time: its ``reps=`` counts and its ``--reps-cap`` count
 rotation classes.
+
+A subcommand calls the library through the package namespace
+(``raagkit.normal_form``), whose first access to a name loads its module, so
+``raagkit nf`` loads ``errors``, ``graphs`` and ``words`` and nothing else.
+The parser needs no raagkit module: the ``--mode`` choices are written out
+here (a test holds them equal to ``overlap``'s modes), and an omitted
+``--reps-cap`` is ``overlap.DEFAULT_REPS_CAP``, read when ``verify-overlap``
+runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, TextIO
 
-from . import cube
-from .bounds import reference_bounds, scl_lower_bound
-from .complexes import euler_characteristic, gauss_bonnet_residual, parse_complex
+import raagkit
+
 from .errors import RaagError
-from .graphs import chromatic_number, parse_graph
-from .overlap import _MODES, DEFAULT_REPS_CAP, verify_key_lemma
-from .words import Word, cyclically_reduce, equal, normal_form
 
 DEFAULT_SEED = 0x5C1
-
-_PARSE = {"graph": parse_graph, "complex": parse_complex}
 
 
 def _at_least(least: int):
@@ -117,8 +118,8 @@ def _build_parser() -> _Parser:
         "overlap bound over the rotation classes of each closure", "word",
     )
     p.add_argument("--n-max", type=_at_least(1), default=4)
-    p.add_argument("--reps-cap", type=_at_least(1), default=DEFAULT_REPS_CAP)
-    p.add_argument("--mode", choices=_MODES, default="disjoint")
+    p.add_argument("--reps-cap", type=_at_least(1))
+    p.add_argument("--mode", choices=("disjoint", "any"), default="disjoint")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("cube", help="half-space calculus helpers")
@@ -144,24 +145,24 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_nf(args, out: TextIO, graph, word) -> int:
-    print(normal_form(word).display(), file=out)
+    print(raagkit.normal_form(word).display(), file=out)
     return 0
 
 
 def _cmd_cyc(args, out: TextIO, graph, word) -> int:
-    reduction = cyclically_reduce(word)
+    reduction = raagkit.cyclically_reduce(word)
     print(f"core: {reduction.core.display()}", file=out)
     print(f"conjugator: {reduction.conjugator.display()}", file=out)
     return 0
 
 
 def _cmd_eq(args, out: TextIO, graph, word1, word2) -> int:
-    print("equal" if equal(word1, word2) else "not equal", file=out)
+    print("equal" if raagkit.equal(word1, word2) else "not equal", file=out)
     return 0
 
 
 def _cmd_chromatic(args, out: TextIO, graph) -> int:
-    k, coloring, exact = chromatic_number(
+    k, coloring, exact = raagkit.chromatic_number(
         graph, mode="heuristic" if args.heuristic else "exact"
     )
     print(f"chromatic number: {k} ({'exact' if exact else 'heuristic'})", file=out)
@@ -171,8 +172,10 @@ def _cmd_chromatic(args, out: TextIO, graph) -> int:
 
 
 def _cmd_scl_bound(args, out: TextIO, graph, word) -> int:
-    cert = scl_lower_bound(graph, word, mode="heuristic" if args.heuristic else "exact")
+    cert = raagkit.scl_lower_bound(graph, word, mode="heuristic" if args.heuristic else "exact")
     if args.json:
+        import json
+
         print(json.dumps(cert.to_json_dict()), file=out)
         return 0
     print(f"bound: {_rat(cert.bound)}", file=out)
@@ -182,14 +185,17 @@ def _cmd_scl_bound(args, out: TextIO, graph, word) -> int:
         kind = "exact" if cert.exactness else "heuristic"
         print(f"colors: {cert.coloring.num_colors} ({kind})", file=out)
     print(f"triangle-free: {'true' if cert.triangle_free_witness else 'false'}", file=out)
-    refs = " ".join(f"{k}={v}" for k, v in sorted(reference_bounds().items()))
+    refs = " ".join(f"{k}={v}" for k, v in sorted(raagkit.reference_bounds().items()))
     print(f"references: {refs}", file=out)
     return 0
 
 
 def _cmd_verify_overlap(args, out: TextIO, graph, word) -> int:
-    reports = verify_key_lemma(word, n_max=args.n_max, reps_cap=args.reps_cap, mode=args.mode)
+    cap = raagkit.overlap.DEFAULT_REPS_CAP if args.reps_cap is None else args.reps_cap
+    reports = raagkit.verify_key_lemma(word, n_max=args.n_max, reps_cap=cap, mode=args.mode)
     if args.json:
+        import json
+
         print(json.dumps([r.to_json_dict() for r in reports]), file=out)
     else:
         for r in reports:
@@ -212,7 +218,7 @@ def _cmd_verify_overlap(args, out: TextIO, graph, word) -> int:
 
 
 def _cmd_cube_interval(args, out: TextIO, graph, x, y) -> int:
-    ctx = cube.interval(x, y)
+    ctx = raagkit.interval(x, y)
     print(f"distance: {len(ctx)}", file=out)
     for hs in ctx.halfspaces:
         print(hs.display(), file=out)
@@ -220,7 +226,7 @@ def _cmd_cube_interval(args, out: TextIO, graph, x, y) -> int:
 
 
 def _cmd_cube_median(args, out: TextIO, graph, x, y, z) -> int:
-    print(cube.median(x, y, z).display(), file=out)
+    print(raagkit.median(x, y, z).display(), file=out)
     return 0
 
 
@@ -235,7 +241,7 @@ def _print_audit(out: TextIO, report, counts: str) -> int:
 
 
 def _cmd_cube_axioms(args, out: TextIO, graph) -> int:
-    report = cube.check_special_axioms(
+    report = raagkit.check_special_axioms(
         graph, samples=args.samples, radius=args.radius, seed=args.seed
     )
     counts = " ".join(f"{k}={v}" for k, v in sorted(report.checked.items()))
@@ -243,7 +249,7 @@ def _cmd_cube_axioms(args, out: TextIO, graph) -> int:
 
 
 def _cmd_cube_chains(args, out: TextIO, graph) -> int:
-    report = cube.check_max_chains(
+    report = raagkit.check_max_chains(
         graph, samples=args.samples, radius=args.radius, seed=args.seed
     )
     return _print_audit(
@@ -254,8 +260,8 @@ def _cmd_cube_chains(args, out: TextIO, graph) -> int:
 
 
 def _cmd_gauss_bonnet(args, out: TextIO, complex_) -> int:
-    chi = euler_characteristic(complex_)
-    residual = gauss_bonnet_residual(complex_)
+    chi = raagkit.euler_characteristic(complex_)
+    residual = raagkit.gauss_bonnet_residual(complex_)
     curvature = residual + 2 * chi
     print(
         f"vertices: {len(complex_.vertices)} edges: {len(complex_.edges)} "
@@ -281,8 +287,9 @@ def run(argv: list[str], out: Optional[TextIO] = None, err: Optional[TextIO] = N
         (out if exc.status == 0 else err).write(exc.text)
         return exc.status
     try:
-        value = _PARSE[args.kind](_read_input(args.kind, getattr(args, args.kind)))
-        words = [Word.parse(value, getattr(args, name)) for name in args.words]
+        parse = raagkit.parse_complex if args.kind == "complex" else raagkit.parse_graph
+        value = parse(_read_input(args.kind, getattr(args, args.kind)))
+        words = [raagkit.Word.parse(value, getattr(args, name)) for name in args.words]
         return args.func(args, out, value, *words)
     except RaagError as exc:
         print(f"error: {exc}", file=err)

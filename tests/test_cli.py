@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output shapes, exit codes, caps."""
 
 import argparse
+import inspect
 import io
 import json
 import os
@@ -461,6 +462,57 @@ def test_console_script_installed(p3_file):
     )
     assert proc.returncode == 0
     assert proc.stdout == "ab\n"
+
+
+# Run in a fresh interpreter: the raagkit.* modules loaded by importing the
+# CLI, then those one call of it adds.
+_CLI_LOADS = r"""
+import io, sys
+sys.path.insert(0, sys.argv[1])
+def loaded():
+    return {name[len("raagkit."):] for name in sys.modules if name.startswith("raagkit.")}
+from raagkit import cli
+before = loaded()
+code = cli.run(sys.argv[2:], out=io.StringIO(), err=io.StringIO())
+print(repr((code, sorted(before), sorted(loaded() - before))))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["--help"], []),
+        (["nf", "{p3}", "ba"], ["graphs", "words"]),
+        (["eq", "{p3}", "ab", "ba"], ["graphs", "words"]),
+        (["chromatic", "{p3}"], ["graphs"]),
+        (["scl-bound", "{p3}", "ac", "--json"], ["bounds", "graphs", "words"]),
+        (["verify-overlap", "{p3}", "ac", "--n-max", "1"], ["graphs", "overlap", "words"]),
+        (["cube", "median", "{p3}", "a", "b", "c"], ["cube", "graphs", "words"]),
+        (["gauss-bonnet", "{torus}"], ["complexes"]),
+    ],
+    ids=["help", "nf", "eq", "chromatic", "scl-bound", "verify-overlap", "cube-median",
+         "gauss-bonnet"],
+)
+def test_each_subcommand_loads_only_its_modules(p3_file, tmp_path, argv, loads):
+    """A count, not a timing: a call loads the modules its subcommand calls, no others."""
+    torus = tmp_path / "torus.json"
+    torus.write_text(json.dumps(H.torus_grid(2, 2).to_json_dict()))
+    argv = [arg.format(p3=p3_file, torus=torus) for arg in argv]
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", _CLI_LOADS, package_root, *argv],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == f"{(0, ['cli', 'errors'], loads)!r}\n"
+
+
+def test_mode_choices_are_the_library_modes():
+    from raagkit import overlap
+
+    sub = next(a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    mode = next(a for a in sub.choices["verify-overlap"]._actions if a.dest == "mode")
+    assert mode.choices == overlap._MODES
+    assert mode.default == inspect.signature(overlap.verify_key_lemma).parameters["mode"].default
 
 
 # -- README ----------------------------------------------------------------

@@ -85,6 +85,7 @@ def test_star_import_binds_every_export():
 def test_dir_lists_every_export():
     listed = dir(raagkit)
     assert "__all__" in listed and set(EXPORTS) <= set(listed)
+    assert set(SUBMODULES) <= set(listed)
 
 
 def test_submodules_resolve_as_attributes():
