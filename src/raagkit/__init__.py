@@ -12,7 +12,9 @@ dict hits (module ``__getattr__``, PEP 562); a submodule such as
 ``raagkit.cube`` loads the same way.  So ``raagkit.parse_graph`` loads only
 ``graphs`` and ``errors``.  The command-line front end, ``raagkit.cli``,
 calls the library through this namespace, so each subcommand loads only the
-modules it calls.
+modules it calls.  Graphs, words and complexes load without ``dataclasses``:
+``Coloring``, ``CyclicReduction`` and ``Corner`` are named tuples, which
+unpack, equal plain tuples and raise ``AttributeError`` on assignment.
 """
 
 from importlib import import_module as _import_module

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import InconsistentComplex, SideCountBelowFour, UnknownFace, UnknownVertex
 
@@ -68,8 +67,7 @@ def _angle_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-@dataclass(frozen=True)
-class Corner:
+class Corner(NamedTuple):
     """A (face, position) incidence: the corner at the head of boundary edge i."""
 
     face: VertexId
@@ -104,9 +102,12 @@ class AngledComplex:
                 )
             if eid in self.edges:
                 raise InconsistentComplex(f"duplicate edge id {eid}")
-            ends = _items(f"edge {eid} ends", ends, 2)
-            for v in ends:
-                _require_id(f"edge {eid} endpoint", v)
+            try:  # the edge's label is formatted only for an error
+                ends = _items("ends", ends, 2)
+                for v in ends:
+                    _require_id("endpoint", v)
+            except InconsistentComplex as exc:
+                raise InconsistentComplex(f"edge {eid} {exc}") from None
             if ends[0] not in vertex_set or ends[1] not in vertex_set:
                 raise InconsistentComplex(f"edge {eid} has unknown endpoint in {ends!r}")
             self.edges[eid] = (ends[0], ends[1])
@@ -121,8 +122,11 @@ class AngledComplex:
             _require_id("face", fid)
             if fid in self.faces:
                 raise InconsistentComplex(f"duplicate face id {fid!r}")
-            boundary = _items(f"face {fid!r} boundary", boundary)
-            angles = _items(f"face {fid!r} angles", angles)
+            try:
+                boundary = _items("boundary", boundary)
+                angles = _items("angles", angles)
+            except InconsistentComplex as exc:
+                raise InconsistentComplex(f"face {fid!r} {exc}") from None
             if not boundary:
                 raise InconsistentComplex(f"face {fid!r} has an empty boundary")
             for signed in boundary:

@@ -19,8 +19,7 @@ search, which is the proof that no coloring with fewer colors exists.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     DuplicateVertex,
@@ -284,8 +283,7 @@ def find_triangle(graph: DefiningGraph) -> Optional[tuple[str, str, str]]:
     return None
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """A proper vertex coloring with colors ``0 .. num_colors - 1``."""
 
     assignment: dict[str, int]
@@ -437,8 +435,6 @@ def chromatic_number(
     for k in range(lb, ub.num_colors):
         found = _try_color(graph, k, clique)
         if found is not None:
-            coloring = Coloring(
-                {graph.vertices[i]: found[i] for i in range(n)}, k
-            )
+            coloring = Coloring({graph.vertices[i]: found[i] for i in range(n)}, k)
             return k, coloring, True
     return ub.num_colors, ub, True

@@ -53,7 +53,6 @@ a :class:`WordSyntaxError`, raised before anything is expanded.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -576,8 +575,7 @@ def _core_and_conjugator(graph: DefiningGraph, codes: bytes) -> tuple[bytes, byt
     return _nf_scan(graph, _inv_codes(p) + w + p), _nf_scan(graph, p)
 
 
-@dataclass(frozen=True)
-class CyclicReduction:
+class CyclicReduction(NamedTuple):
     """Result of cyclic reduction: ``original = conjugator * core * conjugator^-1``."""
 
     core: Word

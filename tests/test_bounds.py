@@ -5,6 +5,7 @@ import pytest
 
 import helpers as H
 from raagkit import (
+    Coloring,
     DefiningGraph,
     GraphMismatch,
     Word,
@@ -149,8 +150,14 @@ def test_verify_rejects_tampering(edgeless2, k3_pendant):
     assert not verify_certificate(dataclasses.replace(cert, triangle_free_witness=False))
     assert not verify_certificate(dataclasses.replace(cert, route=ROUTE_ZERO))
     assert not verify_certificate(dataclasses.replace(cert, finite=False, bound=None))
+    # a copy, and a coloring rebuilt by keyword from its fields, still verify
+    assert verify_certificate(dataclasses.replace(cert))
+    kept = cert.coloring
+    rebuilt = Coloring(assignment=dict(kept.assignment), num_colors=kept.num_colors)
+    assert verify_certificate(dataclasses.replace(cert, coloring=rebuilt))
     other = scl_lower_bound(k3_pendant, w(k3_pendant, "bdBD"))
     # swapping in a coloring that is not proper for this graph must fail
+    assert not verify_certificate(dataclasses.replace(cert, coloring=other.coloring))
     assert not verify_certificate(dataclasses.replace(cert, coloring=None))
 
 

@@ -465,12 +465,14 @@ def test_console_script_installed(p3_file):
 
 
 # Run in a fresh interpreter: the raagkit.* modules loaded by importing the
-# CLI, then those one call of it adds.
+# CLI, then those one call of it adds, with dataclasses and inspect when the
+# call loads them.
 _CLI_LOADS = r"""
 import io, sys
 sys.path.insert(0, sys.argv[1])
 def loaded():
-    return {name[len("raagkit."):] for name in sys.modules if name.startswith("raagkit.")}
+    return {name.removeprefix("raagkit.") for name in sys.modules
+            if name.startswith("raagkit.") or name in ("dataclasses", "inspect")}
 from raagkit import cli
 before = loaded()
 code = cli.run(sys.argv[2:], out=io.StringIO(), err=io.StringIO())
@@ -483,18 +485,26 @@ print(repr((code, sorted(before), sorted(loaded() - before))))
     [
         (["--help"], []),
         (["nf", "{p3}", "ba"], ["graphs", "words"]),
+        (["cyc", "{p3}", "bab"], ["graphs", "words"]),
         (["eq", "{p3}", "ab", "ba"], ["graphs", "words"]),
         (["chromatic", "{p3}"], ["graphs"]),
-        (["scl-bound", "{p3}", "ac", "--json"], ["bounds", "graphs", "words"]),
-        (["verify-overlap", "{p3}", "ac", "--n-max", "1"], ["graphs", "overlap", "words"]),
-        (["cube", "median", "{p3}", "a", "b", "c"], ["cube", "graphs", "words"]),
+        (["scl-bound", "{p3}", "ac", "--json"],
+         ["bounds", "dataclasses", "graphs", "inspect", "words"]),
+        (["verify-overlap", "{p3}", "ac", "--n-max", "1"],
+         ["dataclasses", "graphs", "inspect", "overlap", "words"]),
+        (["cube", "median", "{p3}", "a", "b", "c"],
+         ["cube", "dataclasses", "graphs", "inspect", "words"]),
         (["gauss-bonnet", "{torus}"], ["complexes"]),
     ],
-    ids=["help", "nf", "eq", "chromatic", "scl-bound", "verify-overlap", "cube-median",
+    ids=["help", "nf", "cyc", "eq", "chromatic", "scl-bound", "verify-overlap", "cube-median",
          "gauss-bonnet"],
 )
 def test_each_subcommand_loads_only_its_modules(p3_file, tmp_path, argv, loads):
-    """A count, not a timing: a call loads the modules its subcommand calls, no others."""
+    """A count, not a timing: a call loads the modules its subcommand calls, no others.
+
+    Only the subcommands that reach ``bounds``, ``overlap`` or ``cube`` load
+    ``dataclasses`` (and the ``inspect`` it imports).
+    """
     torus = tmp_path / "torus.json"
     torus.write_text(json.dumps(H.torus_grid(2, 2).to_json_dict()))
     argv = [arg.format(p3=p3_file, torus=torus) for arg in argv]

@@ -83,6 +83,29 @@ def test_validation_rejects(vertices, edges, faces):
         AngledComplex(vertices, edges, faces)
 
 
+@pytest.mark.parametrize(
+    "edges,faces,message",
+    [
+        ([(1, "vw")], [], "edge 1 ends 'vw' is a string, not a list"),
+        ([(2, 5)], [], "edge 2 ends 5 is not a sequence"),
+        ([(3, ("v",))], [], "edge 3 ends ('v',) does not have 2 entries"),
+        ([(4, ("v", 1.5))], [], "edge 4 endpoint id 1.5 must be a string or an integer"),
+        ([(1, ("v", "v"))], [("f", b"\x01", [1])],
+         "face 'f' boundary b'\\x01' is a string, not a list"),
+        ([(1, ("v", "v"))], [(7, 1, [1])], "face 7 boundary 1 is not a sequence"),
+        ([(1, ("v", "v"))], [("f", [1], "1")], "face 'f' angles '1' is a string, not a list"),
+        ([(1, ("v", "v"))], [("f", [1], None)], "face 'f' angles None is not a sequence"),
+    ],
+    ids=["ends-string", "ends-int", "ends-one", "endpoint", "boundary-bytes", "boundary-int",
+         "angles-string", "angles-none"],
+)
+def test_validation_names_the_edge_or_face(edges, faces, message):
+    """An entry of an edge or a face that fails its check names that edge or face."""
+    with pytest.raises(InconsistentComplex) as info:
+        AngledComplex(["v", "w"], edges, faces)
+    assert str(info.value) == message
+
+
 def test_boundary_must_close():
     # two edges sharing only one endpoint cannot close up into a 2-gon
     with pytest.raises(InconsistentComplex):

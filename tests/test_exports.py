@@ -43,17 +43,22 @@ EXPORTS = [
 
 SUBMODULES = ["bounds", "cli", "complexes", "cube", "errors", "graphs", "overlap", "words"]
 
-# Run in a fresh interpreter: the raagkit.* modules each step adds to sys.modules.
+# Run in a fresh interpreter: the raagkit.* modules each step adds to
+# sys.modules, and dataclasses and inspect when a step loads them.
 LOADS = r"""
 import json, sys
 sys.path.insert(0, sys.argv[1])
 def loaded():
-    return {name for name in sys.modules if name.startswith("raagkit.")}
+    return {name for name in sys.modules
+            if name.startswith("raagkit.") or name in ("dataclasses", "inspect")}
 steps, before = [], set()
 for step in (
     "import raagkit",
-    "raagkit.parse_graph('vertices: a b\\nedges: a-b')",
+    "g = raagkit.parse_graph('vertices: a b\\nedges: a-b')",
     "raagkit.Word",
+    "raagkit.cyclically_reduce(raagkit.Word.parse(g, 'abA'))",
+    "raagkit.parse_complex(json.dumps({'vertices': ['v'], 'edges': [{'id': 1, 'ends': ['v', 'v']}],"
+    " 'faces': [{'id': 'f', 'boundary': [1, -1], 'angles': ['1/2', '1/2']}]}))",
     "raagkit.cube",
 ):
     exec(step)
@@ -99,13 +104,64 @@ def test_unknown_name_is_an_attribute_error():
 
 
 def test_each_module_loads_at_first_use():
-    """A count, not a timing: the submodules each first access puts in ``sys.modules``."""
+    """A count, not a timing: the modules each first access puts in ``sys.modules``.
+
+    Graphs, words and complexes load without ``dataclasses`` (and the
+    ``inspect`` it imports); ``cube`` still loads both.
+    """
     package_root = str(Path(raagkit.__file__).resolve().parents[1])
     argv = [sys.executable, "-I", "-c", LOADS, package_root]
     proc = subprocess.run(argv, capture_output=True, text=True, check=True)
     steps, cube_resolved = json.loads(proc.stdout)
-    assert steps == [[], ["raagkit.errors", "raagkit.graphs"], ["raagkit.words"], ["raagkit.cube"]]
+    assert steps == [
+        [],
+        ["raagkit.errors", "raagkit.graphs"],
+        ["raagkit.words"],
+        [],
+        ["raagkit.complexes"],
+        ["dataclasses", "inspect", "raagkit.cube"],
+    ]
     assert cube_resolved
+
+
+@pytest.mark.parametrize(
+    "name, fields, text",
+    [
+        ("Coloring", ("assignment", "num_colors"),
+         "Coloring(assignment={'a': 1, 'b': 0, 'c': 1}, num_colors=2)"),
+        ("CyclicReduction", ("core", "conjugator"),
+         "CyclicReduction(core=Word('c'), conjugator=Word('ca'))"),
+        ("Corner", ("face", "position", "vertex", "angle"),
+         "Corner(face='f', position=0, vertex='v', angle=Fraction(1, 2))"),
+    ],
+    ids=["Coloring", "CyclicReduction", "Corner"],
+)
+def test_value_types_keep_their_fields(name, fields, text):
+    """Each value type keeps its fields, constructors, repr, immutability and
+    hashing; as a named tuple it also unpacks and equals the plain tuple of
+    its fields."""
+    graph = raagkit.parse_graph("vertices: a b c\nedges: a-b b-c")
+    if name == "Coloring":
+        value = raagkit.chromatic_number(graph)[1]
+    elif name == "CyclicReduction":
+        value = raagkit.cyclically_reduce(raagkit.Word.parse(graph, "cacAC"))
+    else:
+        loop = {"vertices": ["v"], "edges": [{"id": 1, "ends": ["v", "v"]}],
+                "faces": [{"id": "f", "boundary": [1, -1], "angles": ["1/2", "1/2"]}]}
+        value = raagkit.parse_complex(json.dumps(loop)).corners[0]
+    cls = getattr(raagkit, name)
+    args = tuple(getattr(value, field) for field in fields)
+    assert type(value) is cls and repr(value) == text
+    assert cls(*args) == value == cls(**dict(zip(fields, args)))
+    assert repr(cls(**dict(zip(fields, args)))) == text
+    with pytest.raises(AttributeError):
+        setattr(value, fields[0], args[0])
+    if name == "Coloring":  # it holds a dict
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+    else:
+        assert hash(value) == hash(cls(*args))
+    assert tuple(value) == args and value == args
 
 
 def test_version_matches_pyproject():
